@@ -132,6 +132,7 @@ fn main() {
     for algo in SEC_FAMILIES {
         let mut ys = Vec::with_capacity(sweep.len());
         let mut degrees = Vec::with_capacity(sweep.len());
+        let mut solos = Vec::with_capacity(sweep.len());
         let mut p99s = Vec::with_capacity(sweep.len());
         let mut points = Vec::with_capacity(sweep.len());
         for &threads in &sweep {
@@ -145,6 +146,7 @@ fn main() {
                 ..RunConfig::new(threads, Mix::UPDATE_100)
             };
             let mut degree_sum = 0.0;
+            let mut solo_sum = 0.0;
             let samples: Vec<f64> = (0..opts.runs)
                 .map(|r| {
                     let cfg = RunConfig {
@@ -154,6 +156,7 @@ fn main() {
                     let out = run_algo(algo, &cfg);
                     if let Some(rep) = &out.sec_report {
                         degree_sum += rep.batching_degree();
+                        solo_sum += rep.pct_solo();
                     }
                     out.result.mops()
                 })
@@ -163,15 +166,18 @@ fn main() {
             // of the JSON drop (the histogram behind it is the same
             // HDR layout the engine's phase histograms use).
             let lat = family_latency(algo, threads, latency_ops_per_thread);
+            let solo_pct = solo_sum / opts.runs.max(1) as f64;
             eprintln!(
-                "  {:>7} | {threads:>3} threads: {:.3} Mops/s (cv {:.1}%), p99 {} ns",
+                "  {:>7} | {threads:>3} threads: {:.3} Mops/s (cv {:.1}%), p99 {} ns, {:.0}% solo",
                 algo.label(),
                 s.mean,
                 s.cv_pct(),
-                lat.p99
+                lat.p99,
+                solo_pct
             );
             ys.push(s.mean);
             degrees.push(degree_sum / opts.runs.max(1) as f64);
+            solos.push(solo_pct);
             p99s.push(lat.p99 as f64);
             points.push(Point {
                 threads,
@@ -182,6 +188,7 @@ fn main() {
         }
         fig.add_series(algo.label(), ys);
         fig.add_extra(format!("{}_batch_degree", algo.label()), degrees);
+        fig.add_extra(format!("{}_pct_solo", algo.label()), solos);
         fig.add_extra(format!("{}_p99_ns", algo.label()), p99s);
         json_families.push((algo.label(), points));
     }

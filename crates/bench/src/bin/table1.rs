@@ -10,6 +10,12 @@
 //! tracking the model is the "elimination degree is optimal within each
 //! batch" claim of §6, quantified.
 //!
+//! Degree, %elimination and %combining describe the operations that
+//! reached a batch; `%Solo` is the share of all updates that found
+//! their batch idle and applied themselves instead (DESIGN.md §17). A
+//! per-thread-count breakdown of degree, %elimination and %solo
+//! follows the table, one-thread cells included.
+//!
 //! ```text
 //! cargo run -p sec-bench --release --bin table1
 //! ```
@@ -28,18 +34,19 @@ fn main() {
     let algo = Algo::Sec { aggregators: 2 };
 
     let mixes = [Mix::UPDATE_100, Mix::UPDATE_50, Mix::UPDATE_10];
-    let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
+    let mut rows: Vec<(String, f64, f64, f64, f64)> = Vec::new();
     let mut model_rows: Vec<(f64, f64)> = Vec::new();
+    // (mix, threads, degree, %elim, %solo), averaged over runs.
+    let mut by_threads: Vec<(String, usize, f64, f64, f64)> = Vec::new();
 
     for mix in mixes {
         let mut degree_sum = 0.0;
         let mut elim_sum = 0.0;
         let mut comb_sum = 0.0;
+        let mut solo_sum = 0.0;
         let mut cells = 0.0;
         for &threads in &sweep {
-            if threads < 2 {
-                continue; // batching is a concurrency phenomenon
-            }
+            let mut cell = (0.0, 0.0, 0.0);
             for r in 0..opts.runs {
                 let cfg = RunConfig {
                     duration: opts.duration,
@@ -49,17 +56,34 @@ fn main() {
                 };
                 let out = run_algo(algo, &cfg);
                 let rep = out.sec_report.expect("SEC reports batch stats");
-                degree_sum += rep.batching_degree();
-                elim_sum += rep.pct_eliminated();
-                comb_sum += rep.pct_combined();
-                cells += 1.0;
+                cell.0 += rep.batching_degree();
+                cell.1 += rep.pct_eliminated();
+                cell.2 += rep.pct_solo();
                 eprintln!(
-                    "  {mix} | {threads:>3} threads run {r}: degree {:.1}, elim {:.0}%, comb {:.0}%",
+                    "  {mix} | {threads:>3} threads run {r}: degree {:.1}, elim {:.0}%, comb {:.0}%, solo {:.0}%",
                     rep.batching_degree(),
                     rep.pct_eliminated(),
-                    rep.pct_combined()
+                    rep.pct_combined(),
+                    rep.pct_solo()
                 );
+                // Batching is a concurrency phenomenon: the paper's
+                // table averages the multi-thread cells only.
+                if threads >= 2 {
+                    degree_sum += rep.batching_degree();
+                    elim_sum += rep.pct_eliminated();
+                    comb_sum += rep.pct_combined();
+                    solo_sum += rep.pct_solo();
+                    cells += 1.0;
+                }
             }
+            let runs = opts.runs.max(1) as f64;
+            by_threads.push((
+                format!("{}% upd", mix.update_pct()),
+                threads,
+                cell.0 / runs,
+                cell.1 / runs,
+                cell.2 / runs,
+            ));
         }
         if cells == 0.0 {
             cells = 1.0;
@@ -70,6 +94,7 @@ fn main() {
             mean_degree,
             elim_sum / cells,
             comb_sum / cells,
+            solo_sum / cells,
         ));
         // Push share among *updates* (peeks never enter a batch); the
         // paper's mixes are all balanced, so p = 0.5 here, but compute
@@ -85,23 +110,28 @@ fn main() {
     // The paper's Table 1 layout: workloads as columns.
     println!("## Table 1 — SEC (2 aggregators)");
     print!("{:<18}", "Workload →");
-    for (label, _, _, _) in &rows {
+    for (label, ..) in &rows {
         print!(" {label:>10}");
     }
     println!();
     print!("{:<18}", "Batching Degree");
-    for (_, d, _, _) in &rows {
+    for (_, d, ..) in &rows {
         print!(" {d:>10.1}");
     }
     println!();
     print!("{:<18}", "%Elimination");
-    for (_, _, e, _) in &rows {
+    for (_, _, e, ..) in &rows {
         print!(" {:>9.0}%", e);
     }
     println!();
     print!("{:<18}", "%Combining");
-    for (_, _, _, c) in &rows {
+    for (_, _, _, c, _) in &rows {
         print!(" {:>9.0}%", c);
+    }
+    println!();
+    print!("{:<18}", "%Solo");
+    for (.., solo) in &rows {
+        print!(" {:>9.0}%", solo);
     }
     println!();
     print!("{:<18}", "%Elim (model)");
@@ -117,15 +147,27 @@ fn main() {
     println!(
         "# paper (Emerald): degrees 17.8/17.2/14, elim 79/79/77%, comb 21/21/23%\n\
          # model rows: E[2·min(X,n−X)]/n at the measured mean batch size — measured %elim\n\
-         # tracking the model is §6's 'elimination degree is optimal within each batch'."
+         # tracking the model is §6's 'elimination degree is optimal within each batch'.\n\
+         # %Solo: share of all updates that bypassed batching; the rows above describe the rest."
     );
+
+    println!("\n## By thread count (degree / %elim among batched ops, %solo of all updates)");
+    println!(
+        "{:<10} {:>7} {:>8} {:>7} {:>7}",
+        "workload", "threads", "degree", "%elim", "%solo"
+    );
+    for (label, threads, d, e, solo) in &by_threads {
+        println!("{label:<10} {threads:>7} {d:>8.2} {e:>6.0}% {solo:>6.0}%");
+    }
 
     // CSV.
     let mut csv = String::from(
-        "workload,batching_degree,pct_elimination,pct_combining,model_pct_elimination,model_pct_combining\n",
+        "workload,batching_degree,pct_elimination,pct_combining,pct_solo,model_pct_elimination,model_pct_combining\n",
     );
-    for ((label, d, e, c), (me, mc)) in rows.iter().zip(&model_rows) {
-        csv.push_str(&format!("{label},{d:.2},{e:.2},{c:.2},{me:.2},{mc:.2}\n"));
+    for ((label, d, e, c, solo), (me, mc)) in rows.iter().zip(&model_rows) {
+        csv.push_str(&format!(
+            "{label},{d:.2},{e:.2},{c:.2},{solo:.2},{me:.2},{mc:.2}\n"
+        ));
     }
     if std::fs::create_dir_all(&opts.csv_dir).is_ok() {
         let _ = std::fs::write(opts.csv_dir.join("table1.csv"), csv);

@@ -143,6 +143,16 @@ impl<N> CombineBatch<N> {
         }
     }
 
+    /// Whether no operation has announced to this batch on either
+    /// lane yet — the solo fast path's gate. Relaxed: a stale answer
+    /// only sends an operation down the other path, and both paths are
+    /// correct under any interleaving.
+    #[inline]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.add_count.load(Ordering::Relaxed) == 0
+            && self.remove_count.load(Ordering::Relaxed) == 0
+    }
+
     /// The lane's frozen cut.
     #[inline]
     pub(crate) fn cut(&self, role: Role) -> &AtomicU64 {

@@ -391,7 +391,9 @@ pub struct RecoveryReport {
     /// Torn records skipped (payload present, commit word unset or
     /// checksum mismatch) — ops that never happened.
     pub torn_records: usize,
-    /// Per-handle verdicts, indexed by handle id.
+    /// Per-handle verdicts, indexed by handle id. A handle's id is its
+    /// reclamation slot, which a later registration reuses once the
+    /// handle drops; the reusing handle's ops count under the same id.
     pub handles: Vec<HandleRecovery>,
     /// Every committed op in global application order; replaying these
     /// sequentially reproduces the recovered structure exactly.

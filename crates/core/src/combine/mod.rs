@@ -12,7 +12,8 @@
 //! * elastic-K re-mapping — the contention monitor, the epoch fence,
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
-//! * per-batch stats recording ([`SecStats`]).
+//! * per-batch stats recording ([`SecStats`]),
+//! * the idle-batch gate of the solo fast path (DESIGN.md §17).
 //!
 //! A data structure instantiates the engine by implementing
 //! [`CombineOp`]: a sequential "apply this frozen batch to the shared
@@ -87,18 +88,43 @@ impl Role {
 ///   same-sequence add partner in the batch;
 /// * [`take_result`] runs once per surviving remove, strictly after
 ///   `applied` (publication order makes the combiner's writes
-///   visible).
+///   visible);
+/// * [`try_solo`] runs only when [`SOLO`] is set, for a weight-1
+///   [`Lane::Mapped`] operation whose aggregator's current batch had
+///   no announcement on either lane, before the operation announces.
 ///
 /// [`combine_add`]: CombineOp::combine_add
 /// [`combine_remove`]: CombineOp::combine_remove
 /// [`eliminate`]: CombineOp::eliminate
 /// [`take_result`]: CombineOp::take_result
+/// [`try_solo`]: CombineOp::try_solo
+/// [`SOLO`]: CombineOp::SOLO
 pub(crate) trait CombineOp: Sized + Send + Sync {
     /// The node type flowing through announcement slots and result
     /// chains.
     type Node: Send;
     /// What a remove-lane operation returns.
     type Value;
+
+    /// Whether the family implements [`CombineOp::try_solo`]. Families
+    /// that leave it unset never pay for the idle-batch check.
+    const SOLO: bool = false;
+
+    /// The solo fast path (DESIGN.md §17): apply one operation directly
+    /// to the shared structure, as a lone thread would, without
+    /// announcing it. `Some(result)` means the operation took effect
+    /// (`result` is what it returns); `None` means it did not, and the
+    /// engine announces the same `node` through the batched protocol,
+    /// so a failed attempt must leave the node as it found it.
+    fn try_solo(
+        &self,
+        role: Role,
+        node: *mut Self::Node,
+        guard: &Guard<'_, '_>,
+    ) -> Option<Option<Self::Value>> {
+        let _ = (role, node, guard);
+        None
+    }
 
     /// Apply the batch's surviving adds (sequence numbers
     /// `my_seq..add_at_freeze`) to the shared structure. `my_seq ==
@@ -315,7 +341,7 @@ impl<O: CombineOp> CombineEngine<O> {
             monitor: ContentionMonitor::new(),
             bulk_base,
             collector: Collector::with_recycle(config.max_threads, config.recycle),
-            stats: SecStats::new(),
+            stats: SecStats::with_threads(config.max_threads),
             born: Instant::now(),
             #[cfg(feature = "trace")]
             tracer: config
@@ -423,6 +449,8 @@ impl<O: CombineOp> CombineEngine<O> {
             batches: r.batches,
             eliminated: r.eliminated,
             combined: r.combined,
+            solo: r.solo,
+            solo_fallbacks: r.solo_fallbacks,
             parks: r.parks,
             wakes: r.wakes,
             grows: r.grows,
@@ -445,6 +473,15 @@ impl<O: CombineOp> CombineEngine<O> {
     /// Number of currently active aggregators.
     pub(crate) fn active_aggregators(&self) -> usize {
         self.active.load(Ordering::Acquire)
+    }
+
+    /// Whether aggregator `agg_idx`'s current batch has no
+    /// announcement yet (tests use it to make operations collide).
+    #[cfg(test)]
+    pub(crate) fn batch_idle(&self, agg_idx: usize, reclaim: &ReclaimHandle<'_>) -> bool {
+        let _guard = reclaim.pin();
+        // Safety: pinned, so the current batch cannot be freed.
+        unsafe { &*self.aggs[agg_idx].batch.load(Ordering::Acquire) }.is_idle()
     }
 
     /// The aggregator index of the layout's `i`-th dedicated bulk
@@ -854,6 +891,12 @@ impl<O: CombineOp> CombineEngine<O> {
         tid: usize,
         trace: Option<&TraceRecorder>,
     ) -> Option<O::Value> {
+        // Only single mapped operations may go solo: bulk and durable
+        // operations (and the queue's and deque's ends) always announce
+        // on `Lane::At` aggregators, whose combiners keep the
+        // guarantees they rely on (one splice per chunk, one log record
+        // per batch).
+        let mut solo = O::SOLO && ops == 1 && matches!(lane, Lane::Mapped(_));
         loop {
             // Re-resolve the mapping each attempt: an excluded retry
             // after an elastic re-mapping must land on the thread's
@@ -868,6 +911,26 @@ impl<O: CombineOp> CombineEngine<O> {
             // Line 5/55.
             let batch_ptr = agg.batch.load(Ordering::Acquire);
             let batch = unsafe { &*batch_ptr };
+            // The solo fast path (DESIGN.md §17): a batch nobody has
+            // announced to has no contention to absorb, so the
+            // operation applies itself. If that loses a race, it
+            // announces below as if it had never tried.
+            if core::mem::take(&mut solo) && batch.is_idle() {
+                if let Some(out) = self.op.try_solo(role, node, &guard) {
+                    self.stats.record_solo(tid);
+                    if let Some(t) = trace {
+                        t.record(
+                            tid,
+                            agg_idx as u32,
+                            TraceEventKind::Solo {
+                                lane: role.trace_lane(),
+                            },
+                        );
+                    }
+                    return out;
+                }
+                self.stats.record_solo_fallback(tid);
+            }
             // Line 6/56: announce. AcqRel: the freezer's counter read
             // and our increment are ordered; the low half of the packed
             // prior value is our sequence number (the high half tallies

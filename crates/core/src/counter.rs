@@ -730,11 +730,17 @@ mod tests {
         const THREADS: usize = 4;
         const PER: usize = 100;
         let c = SecCounter::durable(THREADS, DurablePolicy::volatile().shards(2)).unwrap();
+        // A handle's id is its collector slot, which a later
+        // registration reuses once the handle drops: every handle stays
+        // registered until all have registered, so the four ids differ.
+        let registered = std::sync::Barrier::new(THREADS);
         thread::scope(|scope| {
             for t in 0..THREADS {
                 let c = &c;
+                let registered = &registered;
                 scope.spawn(move || {
                     let mut h = c.register();
+                    registered.wait();
                     for i in 0..PER {
                         h.fetch_add((t + i) as u64 % 5);
                     }

@@ -144,6 +144,8 @@ impl<T: Send + 'static> SecPool<T> {
                 batches: acc.batches + s.batches,
                 eliminated: acc.eliminated + s.eliminated,
                 combined: acc.combined + s.combined,
+                solo: acc.solo + s.solo,
+                solo_fallbacks: acc.solo_fallbacks + s.solo_fallbacks,
                 parks: acc.parks + s.parks,
                 wakes: acc.wakes + s.wakes,
                 grows: acc.grows + s.grows,
@@ -221,6 +223,8 @@ impl<T: Send + 'static> PoolHandle<'_, T> {
                 batches: acc.batches + s.batches,
                 eliminated: acc.eliminated + s.eliminated,
                 combined: acc.combined + s.combined,
+                solo: acc.solo + s.solo,
+                solo_fallbacks: acc.solo_fallbacks + s.solo_fallbacks,
                 parks: acc.parks + s.parks,
                 wakes: acc.wakes + s.wakes,
                 grows: acc.grows + s.grows,

@@ -12,8 +12,9 @@
 //!   elimination/combining degrees the instrumentation measures,
 //! * this file — [`SecStack`], [`SecHandle`], and the stack's
 //!   `CombineOp` instantiation: the single-CAS substack splice
-//!   (push combining), the single-CAS chain unlink (pop combining)
-//!   and elimination through the slot array.
+//!   (push combining), the single-CAS chain unlink (pop combining),
+//!   elimination through the slot array, and the one-CAS solo push
+//!   and pop of an operation whose batch is idle (DESIGN.md §17).
 //!
 //! The protocol itself — announcement, freezing, freezer election,
 //! elimination pairing, combiner election, waiter parking, elastic
@@ -57,7 +58,9 @@ use stats::SecStats;
 /// engine's.
 struct StackOp<T: Send + 'static> {
     /// `stackTop` (paper line 2): the *only* cross-aggregator
-    /// contention point, touched once per batch by each combiner.
+    /// contention point. Combiners CAS it once per batch (plus one
+    /// retry per lost race), solo pushes and pops once per operation
+    /// (DESIGN.md §17), and peeks load it.
     top: CachePadded<AtomicPtr<Node<T>>>,
     /// Redo log + intent cells when built durable (DESIGN.md §16);
     /// when set, every mutating op routes through the dedicated
@@ -236,6 +239,49 @@ impl<T: Send + 'static> StackOp<T> {
 impl<T: Send + 'static> CombineOp for StackOp<T> {
     type Node = Node<T>;
     type Value = T;
+
+    const SOLO: bool = true;
+
+    /// One Treiber step on `top` (DESIGN.md §17). A solo push
+    /// linearizes at its CAS; a solo pop at its CAS, or at its load of
+    /// a null `top` when it reports EMPTY.
+    fn try_solo(&self, role: Role, node: *mut Node<T>, guard: &Guard<'_, '_>) -> Option<Option<T>> {
+        let top = self.top.load(Ordering::Acquire);
+        match role {
+            Role::Add => {
+                // Safety: an announcer's node is exclusively ours
+                // until published.
+                unsafe { (*node).next.store(top, Ordering::Relaxed) };
+                if self
+                    .top
+                    .compare_exchange(top, node, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return Some(None);
+                }
+                // The combiner walks an announced chain to its null
+                // bottom: restore the single-node chain.
+                unsafe { (*node).next.store(ptr::null_mut(), Ordering::Relaxed) };
+                None
+            }
+            Role::Remove => {
+                if top.is_null() {
+                    return Some(None);
+                }
+                // Safety: we are pinned, so `top` cannot be reclaimed
+                // or recycled before our CAS — no ABA.
+                let next = unsafe { (*top).next.load(Ordering::Acquire) };
+                self.top
+                    .compare_exchange(top, next, Ordering::AcqRel, Ordering::Relaxed)
+                    .ok()?;
+                // Safety: the successful CAS made us the node's unique
+                // consumer; payload out, husk recycles.
+                let value = unsafe { Node::take_value(top) };
+                unsafe { guard.retire_recycle(top) };
+                Some(Some(value))
+            }
+        }
+    }
 
     // ------------------------------------------------------------------
     // Push combining (paper lines 33–51)

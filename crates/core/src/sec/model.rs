@@ -111,6 +111,26 @@ pub fn predict_for_report(report: &super::stats::BatchReport, push_prob: f64) ->
     }
 }
 
+/// Expected %elimination over a run's recorded batch degrees (the
+/// [`SecStats::degree_histogram`](super::stats::SecStats::degree_histogram)),
+/// weighted by operations: each batch contributes the expectation at
+/// its own size, so unlike [`predict_for_report`] no Jensen gap
+/// separates the prediction from the measured aggregate. Degrees of 16
+/// and above are taken at their histogram bucket's upper edge.
+pub fn expected_pct_eliminated_over(degrees: &crate::trace::Histogram, push_prob: f64) -> f64 {
+    let (mut ops, mut eliminated) = (0.0, 0.0);
+    for (n, count) in degrees.buckets() {
+        let batch_ops = (n * count) as f64;
+        ops += batch_ops;
+        eliminated += batch_ops * expected_pct_eliminated(n, push_prob) / 100.0;
+    }
+    if ops == 0.0 {
+        0.0
+    } else {
+        100.0 * eliminated / ops
+    }
+}
+
 /// Output of [`predict_for_report`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelPrediction {
@@ -234,6 +254,22 @@ mod tests {
         let pred = predict_for_report(&stats.report(), 0.5);
         assert_eq!(pred.batch_size, 15);
         assert!(pred.pct_eliminated > 50.0);
+    }
+
+    #[test]
+    fn histogram_prediction_weights_each_batch_by_its_size() {
+        let stats = super::super::stats::SecStats::new();
+        stats.record_batch(1, 0); // degree 1: eliminates nothing
+        stats.record_batch(1, 1); // degree 2: 50% expected
+        let pct = expected_pct_eliminated_over(stats.degree_histogram(), 0.5);
+        // (1 op · 0% + 2 ops · 50%) / 3 ops — below the 50% the
+        // rounded mean degree (2) would predict.
+        assert!((pct - 100.0 / 3.0).abs() < 1e-9, "{pct}");
+        let empty = super::super::stats::SecStats::new();
+        assert_eq!(
+            expected_pct_eliminated_over(empty.degree_histogram(), 0.5),
+            0.0
+        );
     }
 
     #[test]

@@ -13,6 +13,22 @@
 use crate::trace::{DegreeDist, Histogram};
 use core::sync::atomic::{AtomicU64, Ordering};
 use sec_sync::event::WaitStats;
+use sec_sync::CachePadded;
+
+/// One thread's solo-path tallies, on a cache line of its own: the solo
+/// path's only shared-line write is its CAS on the structure.
+#[derive(Debug, Default)]
+struct SoloCell {
+    solo: AtomicU64,
+    fallbacks: AtomicU64,
+}
+
+/// Adds one to a counter only its owning thread writes: a load and a
+/// store, without the locked read-modify-write a `fetch_add` costs.
+#[inline]
+fn bump(c: &AtomicU64) {
+    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
 
 /// Relaxed counters aggregated over the lifetime of one [`SecStack`].
 ///
@@ -20,7 +36,9 @@ use sec_sync::event::WaitStats;
 /// §8) adds three counters: central-stack CAS failures (combiner
 /// contention on `stackTop`, one of the monitor's inputs) and the
 /// grow/shrink resize transitions the monitor or a manual
-/// [`SecStack::set_active_aggregators`] performed.
+/// [`SecStack::set_active_aggregators`] performed. The solo fast path
+/// (DESIGN.md §17) adds two more, kept per thread and summed by
+/// [`SecStats::report`].
 ///
 /// [`SecStack`]: crate::SecStack
 /// [`SecStack::set_active_aggregators`]: crate::SecStack::set_active_aggregators
@@ -41,12 +59,24 @@ pub struct SecStats {
     /// wait-free histogram record per *batch*, so the CSVs can report
     /// min/p50/p99/max instead of only the run-wide mean.
     degree: Histogram,
+    /// Solo-path tallies, indexed by thread id.
+    solo: Box<[CachePadded<SoloCell>]>,
 }
 
 impl SecStats {
-    /// Creates zeroed stats.
+    /// Creates zeroed stats with no per-thread solo cells (for
+    /// structures whose operations never take the solo path).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates zeroed stats with solo cells for thread ids
+    /// `0..max_threads`.
+    pub(crate) fn with_threads(max_threads: usize) -> Self {
+        Self {
+            solo: (0..max_threads).map(|_| CachePadded::default()).collect(),
+            ..Self::default()
+        }
     }
 
     /// Called by the freezer with the frozen counter snapshot.
@@ -62,6 +92,20 @@ impl SecStats {
         self.eliminated.fetch_add(elim, Ordering::Relaxed);
         self.combined.fetch_add(size - elim, Ordering::Relaxed);
         self.degree.record(size);
+    }
+
+    /// Called by thread `tid` after an operation completed on the solo
+    /// path.
+    #[inline]
+    pub(crate) fn record_solo(&self, tid: usize) {
+        bump(&self.solo[tid].solo);
+    }
+
+    /// Called by thread `tid` after a solo attempt lost its CAS and the
+    /// operation fell back to announcing.
+    #[inline]
+    pub(crate) fn record_solo_fallback(&self, tid: usize) {
+        bump(&self.solo[tid].fallbacks);
     }
 
     /// Called by a combiner whose splice/unlink CAS on `stackTop` lost
@@ -101,6 +145,16 @@ impl SecStats {
             ops: self.ops.load(Ordering::Relaxed),
             eliminated: self.eliminated.load(Ordering::Relaxed),
             combined: self.combined.load(Ordering::Relaxed),
+            solo: self
+                .solo
+                .iter()
+                .map(|c| c.solo.load(Ordering::Relaxed))
+                .sum(),
+            solo_fallbacks: self
+                .solo
+                .iter()
+                .map(|c| c.fallbacks.load(Ordering::Relaxed))
+                .sum(),
             cas_failures: self.cas_failures.load(Ordering::Relaxed),
             grows: self.grows.load(Ordering::Relaxed),
             shrinks: self.shrinks.load(Ordering::Relaxed),
@@ -126,6 +180,10 @@ impl SecStats {
         self.cas_failures.store(0, Ordering::Relaxed);
         self.grows.store(0, Ordering::Relaxed);
         self.shrinks.store(0, Ordering::Relaxed);
+        for c in self.solo.iter() {
+            c.solo.store(0, Ordering::Relaxed);
+            c.fallbacks.store(0, Ordering::Relaxed);
+        }
         self.wait.reset();
         self.degree.reset();
     }
@@ -142,6 +200,12 @@ pub struct BatchReport {
     pub eliminated: u64,
     /// Operations applied to the shared stack by a combiner.
     pub combined: u64,
+    /// Operations that found their batch idle and applied themselves
+    /// with one CAS, never joining a batch (not counted in `ops`).
+    pub solo: u64,
+    /// Solo attempts whose CAS lost; each such operation then announced
+    /// and is counted in `ops`.
+    pub solo_fallbacks: u64,
     /// Combiner CAS attempts on the shared `stackTop` that lost to
     /// another combiner.
     pub cas_failures: u64,
@@ -182,6 +246,17 @@ impl BatchReport {
             0.0
         } else {
             100.0 * self.eliminated as f64 / self.ops as f64
+        }
+    }
+
+    /// Percentage of all update operations (batched or solo) that took
+    /// the solo path.
+    pub fn pct_solo(&self) -> f64 {
+        let total = self.ops + self.solo;
+        if total == 0 {
+            0.0
+        } else {
+            100.0 * self.solo as f64 / total as f64
         }
     }
 
@@ -266,6 +341,23 @@ mod tests {
         assert_eq!(s.degree_histogram().count(), 3);
         s.reset();
         assert_eq!(s.report().degree, DegreeDist::default());
+    }
+
+    #[test]
+    fn solo_cells_sum_per_thread_and_reset() {
+        let s = SecStats::with_threads(3);
+        s.record_solo(0);
+        s.record_solo(2);
+        s.record_solo(2);
+        s.record_solo_fallback(1);
+        s.record_batch(1, 0);
+        let r = s.report();
+        assert_eq!((r.solo, r.solo_fallbacks, r.ops), (3, 1, 1));
+        assert!((r.pct_solo() - 75.0).abs() < 1e-9);
+        s.reset();
+        let r = s.report();
+        assert_eq!((r.solo, r.solo_fallbacks), (0, 0));
+        assert_eq!(r.pct_solo(), 0.0);
     }
 
     #[test]

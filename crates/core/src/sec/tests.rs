@@ -179,6 +179,39 @@ fn balanced_workload_conserves_count() {
     assert_eq!(total_popped.load(Ordering::Relaxed) + remaining, pushed);
 }
 
+/// Makes one push (of `value`) and one pop meet in a batch of the
+/// stack's single mapped aggregator, on any number of cores: the push
+/// announces directly (skipping the solo path) and, as the batch's
+/// freezer, holds it open through the stack's `freezer_yields`; the
+/// pop, already running, announces the moment it sees the batch busy.
+/// Returns what the pop got.
+fn collide(s: &SecStack<usize>, value: usize) -> Option<usize> {
+    use crate::combine::{Lane, Role};
+    use std::sync::atomic::AtomicBool;
+    let (ready, pushed) = (AtomicBool::new(false), AtomicBool::new(false));
+    thread::scope(|scope| {
+        let popper = scope.spawn(|| {
+            let h = s.register();
+            ready.store(true, Ordering::Release);
+            // `pushed` only ends the wait if the window was missed (the
+            // caller's assertions then fail instead of hanging).
+            while s.engine.batch_idle(0, &h.reclaim) && !pushed.load(Ordering::Acquire) {
+                thread::yield_now();
+            }
+            s.engine
+                .run(Lane::At(0), Role::Remove, core::ptr::null_mut(), &h.reclaim)
+        });
+        let h = s.register();
+        let node = super::node::Node::alloc_with(&h.reclaim, value);
+        while !ready.load(Ordering::Acquire) {
+            thread::yield_now();
+        }
+        s.engine.run(Lane::At(0), Role::Add, node, &h.reclaim);
+        pushed.store(true, Ordering::Release);
+        popper.join().unwrap()
+    })
+}
+
 #[test]
 fn elimination_dominates_balanced_workloads() {
     // A balanced push/pop mix must show real elimination (the paper
@@ -186,9 +219,15 @@ fn elimination_dominates_balanced_workloads() {
     // a *deterministic* alternation can phase-lock whole batches into
     // the same operation type (all ops of a batch complete together, so
     // relative phases never change), which would starve elimination by
-    // construction rather than by algorithmic behaviour.
+    // construction rather than by algorithmic behaviour. Which ops
+    // reach a batch at all (rather than going solo) is up to the
+    // schedule, so the pairs the assertion relies on are made to
+    // collide explicitly afterwards.
     const THREADS: usize = 8;
-    let s: SecStack<usize> = SecStack::with_config(SecConfig::new(1, THREADS));
+    const COLLISIONS: usize = 4;
+    const MAX_ATTEMPTS: usize = 64;
+    let s: SecStack<usize> =
+        SecStack::with_config(SecConfig::new(1, THREADS).freezer_yields(1_000));
     thread::scope(|scope| {
         for t in 0..THREADS {
             let s = &s;
@@ -210,53 +249,102 @@ fn elimination_dominates_balanced_workloads() {
     });
     let r = s.stats().report();
     assert_eq!(r.eliminated + r.combined, r.ops, "accounting identity");
-    assert!(r.batches > 0);
-    assert!(
-        r.eliminated > 0,
-        "a balanced concurrent mix must eliminate some pairs: {r:?}"
+    assert_eq!(r.ops + r.solo, (THREADS * 2_000) as u64);
+    // A collision can only miss its window if the pop's thread gets no
+    // CPU for the freezer's whole yield loop (a heavily loaded host);
+    // the pair then completes without eliminating, and the next
+    // attempt tries again.
+    let mut paired = 0;
+    for i in 0..MAX_ATTEMPTS {
+        let before = s.stats().report().eliminated;
+        assert_eq!(collide(&s, usize::MAX - i), Some(usize::MAX - i));
+        paired += usize::from(s.stats().report().eliminated == before + 2);
+        if paired == COLLISIONS {
+            break;
+        }
+    }
+    let after = s.stats().report();
+    assert_eq!(after.eliminated + after.combined, after.ops);
+    assert_eq!(
+        paired, COLLISIONS,
+        "collided pairs must eliminate: {after:?}"
     );
 }
 
 #[test]
 fn measured_elimination_respects_the_model_bound() {
-    // Jensen: the per-batch elimination fraction is concave in the
-    // batch size, so the measured aggregate can never meaningfully
-    // exceed the model's prediction at the *mean* batch size —
-    // E[f(N)] ≤ f(E[N]). (The reverse gap can be large; the bound is
-    // one-sided.) A violation would mean the accounting counts pairs
-    // that cannot exist.
+    // Only operations that reach a batch can eliminate, and which ones
+    // do (those that found their batch busy or lost a solo CAS) is up
+    // to the schedule — so the model is evaluated batch by batch, at
+    // each frozen batch's own degree, from the degree histogram. Given
+    // the degrees, the lanes inside a batch are still the workload's
+    // i.i.d. coin flips, so the measured aggregate cannot meaningfully
+    // exceed that expectation. A violation would mean the accounting
+    // counts pairs that cannot exist.
     const THREADS: usize = 8;
+    // The +6-point slack below holds for samples of this many batched
+    // ops (about 4σ of the per-batch elimination spread); rounds on the
+    // same stack accumulate until the sample is that large. On a host
+    // with one hardware thread, solo CASes almost never lose, so few
+    // ops reach batches and only the exact bound can be checked.
+    const MIN_BATCHED_OPS: u64 = 2_000;
+    const MAX_ROUNDS: u64 = 40;
     let s: SecStack<usize> = SecStack::with_config(SecConfig::new(1, THREADS));
-    thread::scope(|scope| {
-        for t in 0..THREADS {
-            let s = &s;
-            scope.spawn(move || {
-                let mut h = s.register();
-                let mut x = (t as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
-                for i in 0..3_000 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    if x.is_multiple_of(2) {
-                        h.push(i);
-                    } else {
-                        h.pop();
+    for round in 0..MAX_ROUNDS {
+        thread::scope(|scope| {
+            for t in 0..THREADS as u64 {
+                let s = &s;
+                scope.spawn(move || {
+                    let mut h = s.register();
+                    let mut x =
+                        (t + round * THREADS as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+                    for i in 0..3_000 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if x.is_multiple_of(2) {
+                            h.push(i);
+                        } else {
+                            h.pop();
+                        }
                     }
-                }
-            });
+                });
+            }
+        });
+        if s.stats().report().ops >= MIN_BATCHED_OPS {
+            break;
         }
-    });
+    }
     let r = s.stats().report();
-    let predicted = crate::sec::model::predict_for_report(&r, 0.5);
-    // +6 points of slack: the mean is rounded to an integer batch size
-    // and finite samples wobble; the invariant being probed is "no
-    // impossible pairs", not a tight fit.
+    // Exact, whatever the sample: a batch of degree n holds at most
+    // ⌊n/2⌋ pairs.
+    let max_eliminated: u64 = s
+        .stats()
+        .degree_histogram()
+        .buckets()
+        .iter()
+        .map(|&(n, count)| count * (n - n % 2))
+        .sum();
     assert!(
-        r.pct_eliminated() <= predicted.pct_eliminated + 6.0,
-        "measured {:.1}% exceeds model optimum {:.1}% at n={} — impossible pairs counted? {r:?}",
+        r.eliminated <= max_eliminated,
+        "more eliminations than the frozen degrees allow: {r:?}"
+    );
+    if r.ops < MIN_BATCHED_OPS {
+        eprintln!(
+            "{MAX_ROUNDS} rounds put only {} ops into batches; model bound not checked",
+            r.ops
+        );
+        return;
+    }
+    let predicted =
+        crate::sec::model::expected_pct_eliminated_over(s.stats().degree_histogram(), 0.5);
+    // +6 points of slack: finite samples wobble; the invariant being
+    // probed is "no impossible pairs", not a tight fit.
+    assert!(
+        r.pct_eliminated() <= predicted + 6.0,
+        "measured {:.1}% exceeds the per-batch model {:.1}% — impossible pairs counted? {r:?}",
         r.pct_eliminated(),
-        predicted.pct_eliminated,
-        predicted.batch_size,
+        predicted,
     );
 }
 
@@ -278,7 +366,8 @@ fn push_only_workload_never_eliminates() {
     let r = s.stats().report();
     assert_eq!(r.eliminated, 0);
     assert_eq!(r.combined, r.ops);
-    assert_eq!(r.ops, (THREADS * 1_000) as u64);
+    // Every push either joined a batch or went solo, never both.
+    assert_eq!(r.ops + r.solo, (THREADS * 1_000) as u64);
 }
 
 #[test]

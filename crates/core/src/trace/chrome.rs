@@ -161,6 +161,13 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     ("degree", adds as u64 + removes as u64),
                 ],
             ),
+            TraceEventKind::Solo { lane } => push_instant(
+                &mut out,
+                e.kind.name(),
+                e.ts_ns,
+                e.tid,
+                &[("agg", agg), ("lane", lane as u64)],
+            ),
             TraceEventKind::CombineStart { lane } => push_instant(
                 &mut out,
                 e.kind.name(),

@@ -206,6 +206,18 @@ impl Histogram {
         bucket_high(BUCKETS - 1)
     }
 
+    /// Every non-empty bucket as `(value, count)`, ascending, each
+    /// bucket reported by its upper edge — so values below 16 are
+    /// exact. Derived from one snapshot, like every other query.
+    pub fn buckets(&self) -> Vec<(u64, u64)> {
+        self.snapshot()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_high(i), c))
+            .collect()
+    }
+
     /// Adds every sample of `other` into `self`. Min/max merge
     /// exactly; buckets add pairwise (identical layouts).
     pub fn merge(&self, other: &Histogram) {
@@ -312,6 +324,19 @@ mod tests {
         for p in [1.0, 25.0, 50.0, 90.0, 99.0, 99.9] {
             assert_eq!(a.percentile(p), c.percentile(p));
         }
+    }
+
+    #[test]
+    fn buckets_list_exact_low_values_by_count() {
+        let h = Histogram::new();
+        for v in [1u64, 1, 2, 15, 40] {
+            h.record(v);
+        }
+        let b = h.buckets();
+        assert_eq!(&b[..3], &[(1, 2), (2, 1), (15, 1)]);
+        assert_eq!(b[3].1, 1);
+        assert!(b[3].0 >= 40 && b[3].0 <= 40 * 17 / 16 + 1);
+        assert!(Histogram::new().buckets().is_empty());
     }
 
     #[test]

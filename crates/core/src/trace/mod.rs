@@ -291,7 +291,7 @@ impl DegreeDist {
 pub struct TraceSnapshot {
     /// Nanoseconds since the structure was constructed.
     pub at_ns: u64,
-    /// Completed operations.
+    /// Operations that belonged to frozen batches.
     pub ops: u64,
     /// Frozen batches.
     pub batches: u64,
@@ -299,6 +299,11 @@ pub struct TraceSnapshot {
     pub eliminated: u64,
     /// Operations applied by a combiner.
     pub combined: u64,
+    /// Operations that completed on the solo path (DESIGN.md §17),
+    /// outside any batch.
+    pub solo: u64,
+    /// Solo attempts that lost their CAS and announced instead.
+    pub solo_fallbacks: u64,
     /// Blocking parks.
     pub parks: u64,
     /// Wakeups delivered.
@@ -329,7 +334,7 @@ impl TraceSnapshot {
         let d_batches = self.batches.saturating_sub(earlier.batches);
         TraceRates {
             interval_s: secs,
-            ops_per_sec: rate(self.ops, earlier.ops),
+            ops_per_sec: rate(self.ops + self.solo, earlier.ops + earlier.solo),
             batches_per_sec: rate(self.batches, earlier.batches),
             parks_per_sec: rate(self.parks, earlier.parks),
             batching_degree: if d_batches == 0 {
@@ -415,6 +420,8 @@ mod tests {
             batches: 100,
             eliminated: 0,
             combined: 1_000,
+            solo: 0,
+            solo_fallbacks: 0,
             parks: 10,
             wakes: 10,
             grows: 0,
@@ -433,6 +440,12 @@ mod tests {
         assert!((r.ops_per_sec - 2_000.0).abs() < 1e-6);
         assert!((r.batches_per_sec - 100.0).abs() < 1e-6);
         assert!((r.parks_per_sec - 20.0).abs() < 1e-6);
+        assert!((r.batching_degree - 20.0).abs() < 1e-6);
+        // Solo ops complete outside batches: they count toward the op
+        // rate but not toward the batching degree.
+        let c = TraceSnapshot { solo: 500, ..b };
+        let r = c.rates_since(&a);
+        assert!((r.ops_per_sec - 2_500.0).abs() < 1e-6);
         assert!((r.batching_degree - 20.0).abs() < 1e-6);
         // Degenerate window: no division blowups.
         let z = a.rates_since(&a);

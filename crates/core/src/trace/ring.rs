@@ -60,6 +60,12 @@ pub enum TraceEventKind {
         /// The sequence number the announce drew.
         seq: u32,
     },
+    /// An operation found its batch idle and applied itself with one
+    /// CAS on the shared structure, without announcing (DESIGN.md §17).
+    Solo {
+        /// The operation's lane.
+        lane: TraceLane,
+    },
     /// This thread won the freezer election (drew sequence 0 and the
     /// `freezer_decided` test-and-set).
     FreezerElected,
@@ -125,6 +131,7 @@ impl TraceEventKind {
             TraceEventKind::Grow { .. } => "grow",
             TraceEventKind::Shrink { .. } => "shrink",
             TraceEventKind::RecycleOverflow { .. } => "recycle_overflow",
+            TraceEventKind::Solo { .. } => "solo",
         }
     }
 
@@ -143,6 +150,7 @@ impl TraceEventKind {
             TraceEventKind::Grow { k } => (9, k as u64, 0),
             TraceEventKind::Shrink { k } => (10, k as u64, 0),
             TraceEventKind::RecycleOverflow { count } => (11, count, 0),
+            TraceEventKind::Solo { lane } => (12, lane.code(), 0),
         }
     }
 
@@ -167,6 +175,9 @@ impl TraceEventKind {
             9 => TraceEventKind::Grow { k: a as u32 },
             10 => TraceEventKind::Shrink { k: a as u32 },
             11 => TraceEventKind::RecycleOverflow { count: a },
+            12 => TraceEventKind::Solo {
+                lane: TraceLane::from_code(a),
+            },
             _ => return None,
         })
     }

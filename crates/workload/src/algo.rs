@@ -511,8 +511,15 @@ mod tests {
         };
         let out = run_algo(Algo::Sec { aggregators: 2 }, &cfg);
         let report = out.sec_report.expect("SEC must report batch stats");
-        assert!(report.batches > 0);
         assert_eq!(report.eliminated + report.combined, report.ops);
+        assert!(report.batches <= report.ops);
+        // Every update of the run (prefill included; the mix has no
+        // peeks) is accounted exactly once: batched or solo.
+        assert_eq!(
+            report.ops + report.solo,
+            out.result.ops + cfg.prefill as u64,
+            "{report:?}"
+        );
     }
 
     #[test]

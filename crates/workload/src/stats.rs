@@ -367,6 +367,8 @@ mod tests {
             ops: 2,
             eliminated: 0,
             combined: 2,
+            solo: 0,
+            solo_fallbacks: 0,
             cas_failures: 0,
             grows,
             shrinks,

@@ -44,14 +44,17 @@ fn main() {
         total_ops as f64 / elapsed.as_secs_f64() / 1e6
     );
 
-    // The instrumentation behind the paper's Table 1.
+    // The instrumentation behind the paper's Table 1. Degree,
+    // eliminated and combined describe the ops that reached a batch;
+    // the solo share found their batch idle and applied themselves.
     let report = stack.stats().report();
     println!(
-        "batches: {}, batching degree: {:.1}, eliminated: {:.0}%, combined: {:.0}%",
+        "batches: {}, batching degree: {:.1}, eliminated: {:.0}%, combined: {:.0}%, solo: {:.0}% of updates",
         report.batches,
         report.batching_degree(),
         report.pct_eliminated(),
-        report.pct_combined()
+        report.pct_combined(),
+        report.pct_solo()
     );
 
     // Reclamation health: with recycling on (the default), most

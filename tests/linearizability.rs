@@ -6,6 +6,7 @@ mod common;
 
 use sec_repro::linearize::{check_conservation, check_history, Event, Op, Recorder};
 use sec_repro::{ConcurrentStack, StackHandle};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
@@ -20,50 +21,71 @@ fn record_and_check<S: ConcurrentStack<u64>>(
     rounds: usize,
 ) {
     for round in 0..rounds {
-        let stack = stack_factory();
-        let rec = Recorder::new();
-        let events: Mutex<Vec<Event<u64>>> = Mutex::new(Vec::new());
-
-        thread::scope(|scope| {
-            for t in 0..threads {
-                let stack = &stack;
-                let rec = &rec;
-                let events = &events;
-                scope.spawn(move || {
-                    let mut h = stack.register();
-                    let mut local = Vec::with_capacity(ops);
-                    for i in 0..ops {
-                        // Deterministic per-thread mix, varied by round.
-                        let choice = (t + i + round) % 5;
-                        let invoke = rec.now();
-                        let op = match choice {
-                            0 | 1 => {
-                                let v = (round * 1_000_000 + t * 1_000 + i) as u64;
-                                h.push(v);
-                                Op::Push(v)
-                            }
-                            2 | 3 => Op::Pop(h.pop()),
-                            _ => Op::Peek(h.peek()),
-                        };
-                        let response = rec.now();
-                        local.push(Event {
-                            thread: t,
-                            op,
-                            invoke,
-                            response,
-                        });
-                    }
-                    events.lock().unwrap().extend(local);
-                });
-            }
-        });
-
-        let history = events.into_inner().unwrap();
-        check_conservation(&history).unwrap_or_else(|e| panic!("[{name}] round {round}: {e}"));
-        check_history(&history).unwrap_or_else(|e| {
-            panic!("[{name}] round {round}: history not linearizable: {e}\n{history:#?}")
-        });
+        let history = record(&stack_factory(), threads, ops, round, None);
+        check(&history, name, round);
     }
+}
+
+/// Checks one recorded history: conservation, then linearizability.
+fn check(history: &[Event<u64>], name: &str, round: usize) {
+    check_conservation(history).unwrap_or_else(|e| panic!("[{name}] round {round}: {e}"));
+    check_history(history).unwrap_or_else(|e| {
+        panic!("[{name}] round {round}: history not linearizable: {e}\n{history:#?}")
+    });
+}
+
+/// Records one history of `threads` threads × `ops` operations on
+/// `stack` (a deterministic per-thread mix, varied by `round`). With a
+/// `start` count, each thread spins until all have checked in, so the
+/// first operations run together rather than a wake-up latency apart.
+fn record<S: ConcurrentStack<u64>>(
+    stack: &S,
+    threads: usize,
+    ops: usize,
+    round: usize,
+    start: Option<&AtomicUsize>,
+) -> Vec<Event<u64>> {
+    let rec = Recorder::new();
+    let events: Mutex<Vec<Event<u64>>> = Mutex::new(Vec::new());
+    thread::scope(|scope| {
+        for t in 0..threads {
+            let rec = &rec;
+            let events = &events;
+            scope.spawn(move || {
+                let mut h = stack.register();
+                let mut local = Vec::with_capacity(ops);
+                if let Some(arrived) = start {
+                    arrived.fetch_add(1, Ordering::AcqRel);
+                    while arrived.load(Ordering::Acquire) < threads {
+                        thread::yield_now();
+                    }
+                }
+                for i in 0..ops {
+                    // Deterministic per-thread mix, varied by round.
+                    let choice = (t + i + round) % 5;
+                    let invoke = rec.now();
+                    let op = match choice {
+                        0 | 1 => {
+                            let v = (round * 1_000_000 + t * 1_000 + i) as u64;
+                            h.push(v);
+                            Op::Push(v)
+                        }
+                        2 | 3 => Op::Pop(h.pop()),
+                        _ => Op::Peek(h.peek()),
+                    };
+                    let response = rec.now();
+                    local.push(Event {
+                        thread: t,
+                        op,
+                        invoke,
+                        response,
+                    });
+                }
+                events.lock().unwrap().extend(local);
+            });
+        }
+    });
+    events.into_inner().unwrap()
 }
 
 // Per-algorithm tests (small histories: the checker is exponential).
@@ -77,6 +99,40 @@ fn sec_histories_are_linearizable() {
         8,
         12,
     );
+}
+
+#[test]
+fn sec_mixed_path_histories_are_linearizable() {
+    // A push or pop that finds its batch idle goes solo and linearizes
+    // at its own CAS on the stack top; the rest linearize in their
+    // batches (DESIGN.md §17). Only histories in which both paths ran
+    // count toward the quota; every recorded history is checked.
+    const MIXED: usize = 12;
+    // Collisions need both threads on a core at once; on a loaded host
+    // few rounds get that, so the bound is generous (a round takes
+    // about 0.1 ms).
+    const MAX_ROUNDS: usize = 20_000;
+    for threads in 2..=4 {
+        let (mut mixed, mut round) = (0, 0);
+        while mixed < MIXED && round < MAX_ROUNDS {
+            let stack: sec_repro::SecStack<u64> =
+                sec_repro::SecStack::with_config(sec_repro::SecConfig::new(1, threads));
+            let start = AtomicUsize::new(0);
+            // 32 operations per history whatever the thread count:
+            // fewer threads need longer runs to overlap.
+            let history = record(&stack, threads, 32 / threads, round, Some(&start));
+            check(&history, "SEC_mixed", round);
+            let r = stack.stats().report();
+            if r.solo > 0 && r.batches > 0 {
+                mixed += 1;
+            }
+            round += 1;
+        }
+        assert_eq!(
+            mixed, MIXED,
+            "{threads} threads: only {mixed} of {round} histories ran both paths"
+        );
+    }
 }
 
 #[test]

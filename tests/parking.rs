@@ -538,9 +538,11 @@ fn park_and_wake_counters_reach_reports() {
     // park/wake counters must populate, and wakes can never exceed
     // what was ever registered (parks + the waits that deregistered
     // themselves — conservatively, parks plus one registration per
-    // wait). Contention is manufactured, not hoped for: a single
-    // aggregator plus a widened freezer yield window means the seq-0
-    // announcer donates its quantum mid-protocol, so on any host —
+    // wait). Contention is manufactured, not hoped for: operations
+    // that always announce (the stack's bulk calls; every queue op)
+    // on shared aggregators, plus a widened freezer yield window,
+    // mean the seq-0 announcer donates its quantum mid-protocol, so on
+    // any host —
     // including a 1-core one, where short rounds otherwise run each
     // thread to completion with zero overlap — other threads announce
     // into the open batch and park on it. The retry loop stays as a
@@ -559,11 +561,16 @@ fn park_and_wake_counters_reach_reports() {
                 let stack = &stack;
                 s.spawn(move || {
                     let mut h = stack.register();
+                    let mut out = Vec::with_capacity(1);
                     for i in 0..300 {
+                        // Bulk calls always announce (a single push or
+                        // pop that finds its batch idle goes solo
+                        // instead and never waits).
                         if (t + i) % 3 < 2 {
-                            h.push(i as u64);
+                            h.push_many(&[i as u64]);
                         } else {
-                            let _ = h.pop();
+                            out.clear();
+                            let _ = h.pop_many(&mut out, 1);
                         }
                     }
                 });

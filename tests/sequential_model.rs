@@ -124,9 +124,10 @@ proptest! {
         let r = stack.stats().report();
         prop_assert_eq!(r.eliminated + r.combined, r.ops);
         prop_assert_eq!(r.eliminated, 0, "one thread ⇒ one op per batch ⇒ no pairs");
-        // Every push/pop announced exactly once (peeks don't batch).
+        // Every push/pop either went solo or announced exactly once
+        // (peeks do neither), and each announcement froze its own batch.
         let updates = ops.iter().filter(|o| !matches!(o, AbstractOp::Peek)).count() as u64;
-        prop_assert_eq!(r.ops, updates);
-        prop_assert_eq!(r.batches, updates);
+        prop_assert_eq!(r.ops + r.solo, updates);
+        prop_assert_eq!(r.batches, r.ops);
     }
 }

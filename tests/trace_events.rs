@@ -7,33 +7,73 @@
 //! cargo test --features trace --test trace_events
 //! ```
 //!
-//! A single-threaded run is a seeded schedule: every op announces with
-//! sequence 0, elects itself freezer, freezes a degree-1 batch,
-//! combines it and publishes — so the event stream's *order* is fully
-//! determined and can be asserted exactly, not just statistically.
+//! A single-threaded run is a seeded schedule: a bulk call (which
+//! always announces) draws sequence 0, elects itself freezer, freezes
+//! a degree-1 batch, combines it and publishes, while a plain push or
+//! pop finds its batch idle and goes solo — so the event stream's
+//! *order* is fully determined and can be asserted exactly, not just
+//! statistically.
 
 #![cfg(feature = "trace")]
 
-use sec_repro::trace::{chrome_trace_json, TraceEvent, TraceEventKind};
+use sec_repro::trace::{chrome_trace_json, TraceEvent, TraceEventKind, TraceLane};
 use sec_repro::{SecConfig, SecStack, TraceConfig};
 
-/// A traced single-threaded stack run: `ops` push/pop pairs, sampling
-/// every op, then the drained (timestamp-sorted) event stream.
-fn traced_run(ops: u64) -> (SecStack<u64>, Vec<TraceEvent>) {
-    let stack: SecStack<u64> = SecStack::with_config(
+/// A traced single-threaded stack, sampling every op.
+fn traced_stack() -> SecStack<u64> {
+    SecStack::with_config(
         SecConfig::new(2, 1)
             .freezer_yields(0)
             .trace(TraceConfig::on().sample_shift(0).ring_capacity(8192)),
-    );
+    )
+}
+
+/// A traced single-threaded stack run: `ops` one-element bulk push/pop
+/// pairs (each an announced batch), then the drained
+/// (timestamp-sorted) event stream.
+fn traced_run(ops: u64) -> (SecStack<u64>, Vec<TraceEvent>) {
+    let stack = traced_stack();
     {
         let mut h = stack.register();
+        let mut out = Vec::new();
         for i in 0..ops {
-            h.push(i);
-            assert_eq!(h.pop(), Some(i));
+            h.push_many(&[i]);
+            out.clear();
+            assert_eq!(h.pop_many(&mut out, 1), 1);
+            assert_eq!(out, [i]);
         }
     }
     let events = stack.tracer().expect("feature builds a recorder").events();
     (stack, events)
+}
+
+#[test]
+fn single_threaded_push_and_pop_go_solo() {
+    let stack = traced_stack();
+    {
+        let mut h = stack.register();
+        h.push(7);
+        assert_eq!(h.pop(), Some(7));
+    }
+    let t = stack.tracer().unwrap();
+    let kinds: Vec<TraceEventKind> = t.events().iter().map(|e| e.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            TraceEventKind::Solo {
+                lane: TraceLane::Add
+            },
+            TraceEventKind::Solo {
+                lane: TraceLane::Remove
+            },
+        ],
+        "an idle batch means no announce, freeze or combine"
+    );
+    // Sampled solo ops still time their latency.
+    assert_eq!(t.op_latency().count(), 2);
+    assert_eq!(t.announce_to_freeze().count(), 0);
+    let r = stack.stats().report();
+    assert_eq!((r.solo, r.solo_fallbacks, r.batches), (2, 0, 0));
 }
 
 #[test]
