@@ -28,6 +28,12 @@
 //! | `mmap/batch+sync` | file  | per batch    | one `msync` per record |
 //! | `mmap/op+sync`    | file  | per op       | one `msync` per op |
 //!
+//! Each cell also reports `msyncs_per_op`: `msync` calls per logged
+//! operation (prefill included; 0 without `+sync`). Under
+//! `SyncMode::Sync` no op takes the solo path, so it stays one per
+//! record: the inverse batching degree for `batch+sync`, 1 for
+//! `op+sync`.
+//!
 //! Writes `results/durable.csv` plus the machine-readable
 //! `results/BENCH_durable.json` and a repo-root `BENCH_durable.json`
 //! copy (same convention as `BENCH_families.json` /
@@ -57,15 +63,22 @@ struct Mode {
     setup: Option<DurableSetup>,
 }
 
-/// The swept modes. Per-op rows get single-entry record slots and a
-/// deeper log: with one record per operation, capacity bounds the
-/// run's op count (the log is not circular), and a 9-word slot keeps
-/// the deeper log's footprint lazy-page-sized.
+/// The swept modes. Both granularities get a deep log, because the
+/// log is not circular and its capacity bounds the run's op count.
+/// Per-op rows get single-entry records. Per-batch rows can write one
+/// record per op too: without `+sync` an op that finds its shard idle
+/// logs itself as a one-entry record (8 words, packed), so 2^17
+/// maximum-size records hold about 5M of them per shard. Only the
+/// pages a run writes are ever faulted in.
 fn modes() -> Vec<Mode> {
     let per_op = |setup: DurableSetup| DurableSetup {
         granularity: LogGranularity::PerOp,
         batch_entries: 1,
         record_capacity: 1 << 22,
+        ..setup
+    };
+    let per_batch = |setup: DurableSetup| DurableSetup {
+        record_capacity: 1 << 17,
         ..setup
     };
     vec![
@@ -75,7 +88,7 @@ fn modes() -> Vec<Mode> {
         },
         Mode {
             name: "vol/batch",
-            setup: Some(DurableSetup::volatile()),
+            setup: Some(per_batch(DurableSetup::volatile())),
         },
         Mode {
             name: "vol/op",
@@ -83,14 +96,14 @@ fn modes() -> Vec<Mode> {
         },
         Mode {
             name: "mmap/batch",
-            setup: Some(DurableSetup::file_backed()),
+            setup: Some(per_batch(DurableSetup::file_backed())),
         },
         Mode {
             name: "mmap/batch+sync",
-            setup: Some(DurableSetup {
+            setup: Some(per_batch(DurableSetup {
                 sync: SyncMode::Sync,
                 ..DurableSetup::file_backed()
-            }),
+            })),
         },
         Mode {
             name: "mmap/op+sync",
@@ -110,6 +123,8 @@ struct Row {
     cv_pct: f64,
     /// Throughput relative to the family's `off` row (1.0 = free).
     rel_off: f64,
+    /// `msync` calls per logged operation, over all runs.
+    msyncs_per_op: f64,
 }
 
 /// Hand-rolled JSON encoding (the workspace carries no serde; same
@@ -127,12 +142,13 @@ fn durable_json(opts: &BenchOpts, threads: usize, rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"family\": \"{}\", \"mode\": \"{}\", \"mops_mean\": {:.4}, \
-             \"cv_pct\": {:.2}, \"rel_off\": {:.4}}}{}\n",
+             \"cv_pct\": {:.2}, \"rel_off\": {:.4}, \"msyncs_per_op\": {:.4}}}{}\n",
             r.family,
             r.mode,
             r.mops_mean,
             r.cv_pct,
             r.rel_off,
+            r.msyncs_per_op,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -141,11 +157,11 @@ fn durable_json(opts: &BenchOpts, threads: usize, rows: &[Row]) -> String {
 }
 
 fn durable_csv(rows: &[Row]) -> String {
-    let mut out = String::from("family,mode,mops_mean,cv_pct,rel_off\n");
+    let mut out = String::from("family,mode,mops_mean,cv_pct,rel_off,msyncs_per_op\n");
     for r in rows {
         out.push_str(&format!(
-            "{},{},{:.4},{:.2},{:.4}\n",
-            r.family, r.mode, r.mops_mean, r.cv_pct, r.rel_off
+            "{},{},{:.4},{:.2},{:.4},{:.4}\n",
+            r.family, r.mode, r.mops_mean, r.cv_pct, r.rel_off, r.msyncs_per_op
         ));
     }
     out
@@ -174,15 +190,22 @@ fn main() {
                 map_mix: MapMix::WRITE_HEAVY,
                 ..RunConfig::new(threads, Mix::UPDATE_100)
             };
+            let (mut logged, mut msyncs) = (0u64, 0u64);
             let samples: Vec<f64> = (0..opts.runs)
                 .map(|r| {
                     let cfg = RunConfig {
                         seed: cfg.seed ^ (r as u64) << 32,
                         ..cfg
                     };
-                    run_algo(algo, &cfg).result.mops()
+                    let run = run_algo(algo, &cfg);
+                    if let Some(d) = run.durable {
+                        logged += d.entries;
+                        msyncs += d.msyncs;
+                    }
+                    run.result.mops()
                 })
                 .collect();
+            let msyncs_per_op = msyncs as f64 / logged.max(1) as f64;
             let s = Summary::of(&samples);
             if mode.name == "off" {
                 off_mean = s.mean;
@@ -193,11 +216,12 @@ fn main() {
                 0.0
             };
             println!(
-                "  {:>15} | {:>9.3} Mops/s (cv {:>4.1}%) | x{:.3} of off",
+                "  {:>15} | {:>9.3} Mops/s (cv {:>4.1}%) | x{:.3} of off | {:.3} msyncs/op",
                 mode.name,
                 s.mean,
                 s.cv_pct(),
-                rel
+                rel,
+                msyncs_per_op
             );
             rows.push(Row {
                 family: algo.label(),
@@ -205,6 +229,7 @@ fn main() {
                 mops_mean: s.mean,
                 cv_pct: s.cv_pct(),
                 rel_off: rel,
+                msyncs_per_op,
             });
         }
     }

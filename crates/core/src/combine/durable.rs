@@ -20,7 +20,14 @@
 //!   results) per batch, fences, *commits* the record with a single
 //!   release store, and only then lets the engine publish results.
 //!   A record whose commit word is unset is a torn record: its ops
-//!   never happened.
+//!   never happened. Records are packed back to back, each as long as
+//!   its entry count needs.
+//! * **Solo path** — an op whose shard has no batch forming and whose
+//!   apply lock is free applies and logs itself under that lock
+//!   ([`DurableCore::try_solo`]): a one-entry record, no batch.
+//! * **One driver** — the engine's `run_durable` writes the intent and
+//!   runs the op (solo or batched); a family contributes only
+//!   `CombineOp::apply_durable`, the per-request apply both paths call.
 //! * **Recovery** — [`DurableCore::open`] scans every shard, orders
 //!   committed records by their global sequence number, verifies that
 //!   each handle's logged ops form a gap-free prefix (zero
@@ -39,13 +46,17 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use sec_reclaim::PersistentHeap;
+use sec_reclaim::{Guard, Handle as ReclaimHandle, PersistentHeap};
+
+use super::{wait_ptr, CombineBatch, CombineEngine, CombineOp, Lane, Role};
 
 /// Magic word ("SECDUR01" in ASCII) committed last when a heap is
 /// initialised; recovery refuses heaps without it.
 const MAGIC: u64 = 0x5345_4344_5552_3031;
-/// On-heap layout version.
-const VERSION: u64 = 1;
+/// On-heap layout version: 2 packs variable-length records back to
+/// back (1 gave every record the maximum size); recovery refuses any
+/// other version as [`DurableError::BadMagic`].
+const VERSION: u64 = 2;
 /// Header size in words (generous; unused words stay zero).
 const HDR_WORDS: usize = 16;
 /// Header word indices.
@@ -64,7 +75,7 @@ const INTENT_WORDS: usize = 5;
 /// operand, operand2, result.
 const ENTRY_WORDS: usize = 5;
 /// Record header words: commit (global seq + 1; 0 = torn), n_ops,
-/// checksum.
+/// checksum. A record is `REC_HDR_WORDS + n_ops * ENTRY_WORDS` words.
 const REC_HDR_WORDS: usize = 3;
 
 /// Operation codes recorded in the redo log, one namespace across all
@@ -388,8 +399,9 @@ pub struct HandleRecovery {
 pub struct RecoveryReport {
     /// Committed records found across all shards.
     pub committed_records: usize,
-    /// Torn records skipped (payload present, commit word unset or
-    /// checksum mismatch) — ops that never happened.
+    /// Torn records found past a shard's last committed record (a
+    /// payload whose commit word never landed) — ops that never
+    /// happened. Recovery zeroes them.
     pub torn_records: usize,
     /// Per-handle verdicts, indexed by handle id. A handle's id is its
     /// reclamation slot, which a later registration reuses once the
@@ -594,22 +606,6 @@ pub(crate) fn from_word<T: 'static>(w: u64) -> T {
     unsafe { mem::transmute_copy::<u64, T>(&w) }
 }
 
-/// Collects the frozen durable requests `[my_seq, cut)` of a batch —
-/// the slot walk every family's durable combiner starts with. The
-/// pointers were announced as type-erased nodes; durable aggregators
-/// carry only [`DurableReq`]s, so the cast recovers the real type.
-pub(crate) fn frozen_reqs<N>(
-    batch: &super::batch::CombineBatch<N>,
-    my_seq: usize,
-    cut: usize,
-    wait: crate::config::WaitPolicy,
-) -> Vec<*mut DurableReq> {
-    batch.slots[my_seq..cut]
-        .iter()
-        .map(|s| super::batch::wait_ptr(s, wait).cast::<DurableReq>())
-        .collect()
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     let h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^ (h >> 29)
@@ -627,6 +623,17 @@ struct StatsInner {
     records: AtomicU64,
     entries: AtomicU64,
     msyncs: AtomicU64,
+}
+
+/// A record being filled at its shard's tail (apply lock held).
+struct OpenRecord {
+    /// Heap word index of the record's commit word.
+    off: usize,
+    seq: u64,
+    n_ops: usize,
+    filled: usize,
+    /// Running checksum over seq, n_ops and the entries written.
+    sum: u64,
 }
 
 /// The shared durable state a family's op struct owns when built with
@@ -655,25 +662,31 @@ pub(crate) struct DurableCore {
 
 impl DurableCore {
     // ---- layout ---------------------------------------------------
+    //
+    // header | intent cells | per shard: tail word, record area. A
+    // shard's record area holds `record_cap` maximum-size records;
+    // records are packed back to back from its start, and the tail
+    // word holds the word offset (within the area) of the next one.
 
-    fn record_words(&self) -> usize {
-        REC_HDR_WORDS + self.entries_cap * ENTRY_WORDS
+    fn record_words(n_ops: usize) -> usize {
+        REC_HDR_WORDS + n_ops * ENTRY_WORDS
+    }
+
+    fn area_words(record_cap: usize, entries_cap: usize) -> usize {
+        record_cap * Self::record_words(entries_cap)
     }
 
     fn intent_off(&self, handle: usize) -> usize {
         HDR_WORDS + handle * INTENT_WORDS
     }
 
-    fn shard_words(&self) -> usize {
-        1 + self.record_cap * self.record_words()
-    }
-
     fn tail_off(&self, shard: usize) -> usize {
-        HDR_WORDS + self.max_handles * INTENT_WORDS + shard * self.shard_words()
+        let shard_words = 1 + Self::area_words(self.record_cap, self.entries_cap);
+        HDR_WORDS + self.max_handles * INTENT_WORDS + shard * shard_words
     }
 
-    fn record_off(&self, shard: usize, idx: usize) -> usize {
-        self.tail_off(shard) + 1 + idx * self.record_words()
+    fn area_off(&self, shard: usize) -> usize {
+        self.tail_off(shard) + 1
     }
 
     fn words_needed(
@@ -682,8 +695,9 @@ impl DurableCore {
         record_cap: usize,
         entries_cap: usize,
     ) -> usize {
-        let record_words = REC_HDR_WORDS + entries_cap * ENTRY_WORDS;
-        HDR_WORDS + max_handles * INTENT_WORDS + shards * (1 + record_cap * record_words)
+        HDR_WORDS
+            + max_handles * INTENT_WORDS
+            + shards * (1 + Self::area_words(record_cap, entries_cap))
     }
 
     #[inline]
@@ -872,36 +886,88 @@ impl DurableCore {
     }
 
     /// The durable combiner body: under the apply lock, applies each
-    /// request to the in-memory structure via `apply`, logs the batch
-    /// (one record per batch or per op, by policy), and commits before
-    /// returning — the engine publishes results only after this
-    /// returns, so a published result is always a logged result.
+    /// request to the in-memory structure via `apply` and logs it (one
+    /// record per batch or per op, by policy), committing before it
+    /// returns — the engine publishes results only after this returns,
+    /// so a published result is always a logged result.
     ///
     /// # Safety
-    /// `reqs` must point to live `DurableReq`s owned by announcers
+    /// `reqs` must yield live `DurableReq`s owned by announcers
     /// currently parked in this batch (the engine's slot discipline).
     pub(crate) unsafe fn combine_batch(
         &self,
         shard: usize,
-        reqs: &[*mut DurableReq],
-        mut apply: impl FnMut(&mut DurableReq),
+        reqs: impl ExactSizeIterator<Item = *mut DurableReq>,
+        apply: impl FnMut(&mut DurableReq),
     ) {
         let _g = self.apply_lock.lock().unwrap();
-        let mut entries: Vec<[u64; ENTRY_WORDS]> = Vec::with_capacity(reqs.len());
-        for &r in reqs {
-            // SAFETY: caller contract — r is a live announced request.
+        // Safety: forwarded caller contract.
+        unsafe { self.apply_and_log(shard, reqs, apply) };
+    }
+
+    /// The solo path (DESIGN.md §16): when the policy flushes nothing
+    /// ([`SyncMode::None`]) and the apply lock is free, applies `req`
+    /// and commits it as a one-entry record, returning `true`. The
+    /// engine tries it only when the shard's current batch is idle:
+    /// no other op of the shard is there to share a record with.
+    /// Returns `false`, touching nothing, when either check fails; the
+    /// caller then announces the same request. Under [`SyncMode::Sync`] every record costs
+    /// an `msync`, which only a batch amortizes, so that mode never
+    /// goes solo.
+    pub(crate) fn try_solo(
+        &self,
+        shard: usize,
+        req: &mut DurableReq,
+        apply: impl FnMut(&mut DurableReq),
+    ) -> bool {
+        if !self.solo_enabled() {
+            return false;
+        }
+        let Ok(_g) = self.apply_lock.try_lock() else {
+            return false;
+        };
+        // Safety: `req` is a live exclusive borrow for the whole call.
+        unsafe { self.apply_and_log(shard, core::iter::once(req as *mut DurableReq), apply) };
+        true
+    }
+
+    /// Whether ops may take [`DurableCore::try_solo`] at all.
+    pub(crate) fn solo_enabled(&self) -> bool {
+        self.sync == SyncMode::None
+    }
+
+    /// The apply/append code both paths share (apply lock held):
+    /// applies each request, writing its entry straight into the open
+    /// record, and commits a record whenever it fills.
+    ///
+    /// # Safety
+    /// Every pointer `reqs` yields must be live and unaliased.
+    unsafe fn apply_and_log(
+        &self,
+        shard: usize,
+        reqs: impl ExactSizeIterator<Item = *mut DurableReq>,
+        mut apply: impl FnMut(&mut DurableReq),
+    ) {
+        let per_record = match self.granularity {
+            LogGranularity::PerOp => 1,
+            LogGranularity::PerBatch => self.entries_cap,
+        };
+        let mut left = reqs.len();
+        let mut open: Option<OpenRecord> = None;
+        for r in reqs {
+            // Safety: caller contract.
             let req = unsafe { &mut *r };
             fault::hit(FaultPoint::MidCombine);
             apply(req);
-            let e = Self::entry_words(req);
-            match self.granularity {
-                LogGranularity::PerOp => self.append(shard, core::slice::from_ref(&e)),
-                LogGranularity::PerBatch => entries.push(e),
+            let rec = open.get_or_insert_with(|| self.open_record(shard, left.min(per_record)));
+            self.write_entry(rec, req);
+            left -= 1;
+            if rec.filled == rec.n_ops {
+                self.commit(shard, rec);
+                open = None;
             }
         }
-        if self.granularity == LogGranularity::PerBatch && !entries.is_empty() {
-            self.append(shard, &entries);
-        }
+        debug_assert!(open.is_none(), "records are sized to their entries");
     }
 
     fn entry_words(req: &DurableReq) -> [u64; ENTRY_WORDS] {
@@ -909,50 +975,61 @@ impl DurableCore {
         [meta, req.op_seq, req.operand, req.operand2, req.result]
     }
 
-    /// Appends `entries` to `shard`'s log (splitting over records as
-    /// needed), committing each record with a release store of its
-    /// global sequence number.
-    fn append(&self, shard: usize, entries: &[[u64; ENTRY_WORDS]]) {
-        for chunk in entries.chunks(self.entries_cap) {
-            let tail = self.w(self.tail_off(shard)).load(Ordering::Relaxed) as usize;
-            assert!(
-                tail < self.record_cap,
-                "durable log full: shard {shard} exhausted its {} records; \
-                 raise DurablePolicy::record_capacity (the log is not circular)",
-                self.record_cap
-            );
-            let seq = self.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
-            let off = self.record_off(shard, tail);
-            self.w(off + 1).store(chunk.len() as u64, Ordering::Relaxed);
-            let mut sum = mix(0x5EC0_0002, seq);
-            sum = mix(sum, chunk.len() as u64);
-            for (i, e) in chunk.iter().enumerate() {
-                for (j, &word) in e.iter().enumerate() {
-                    self.w(off + REC_HDR_WORDS + i * ENTRY_WORDS + j)
-                        .store(word, Ordering::Relaxed);
-                    sum = mix(sum, word);
-                }
-            }
-            self.w(off + 2).store(sum, Ordering::Relaxed);
-            fault::hit(FaultPoint::PostLog);
-            // The commit point: everything above is ordered before
-            // this release store, so a visible commit word implies a
-            // complete, checksummed payload.
-            self.w(off).store(seq + 1, Ordering::Release);
-            self.w(self.tail_off(shard))
-                .store(tail as u64 + 1, Ordering::Relaxed);
-            if self.sync == SyncMode::Sync {
-                self.heap.msync(off, self.record_words()).ok();
-                self.heap.msync(H_GLOBAL_SEQ, 1).ok();
-                self.heap.msync(self.tail_off(shard), 1).ok();
-                self.stats.msyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            fault::hit(FaultPoint::PostCommit);
-            self.stats.records.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .entries
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
+    /// Starts an `n_ops`-entry record at `shard`'s tail: takes its
+    /// global sequence number and writes its entry count.
+    fn open_record(&self, shard: usize, n_ops: usize) -> OpenRecord {
+        let tail = self.w(self.tail_off(shard)).load(Ordering::Relaxed) as usize;
+        assert!(
+            tail + Self::record_words(n_ops) <= Self::area_words(self.record_cap, self.entries_cap),
+            "durable log full: shard {shard} has no room for another record within its \
+             {} records; raise DurablePolicy::record_capacity (the log is not circular)",
+            self.record_cap
+        );
+        let seq = self.w(H_GLOBAL_SEQ).fetch_add(1, Ordering::Relaxed);
+        let off = self.area_off(shard) + tail;
+        self.w(off + 1).store(n_ops as u64, Ordering::Relaxed);
+        OpenRecord {
+            off,
+            seq,
+            n_ops,
+            filled: 0,
+            sum: mix(mix(0x5EC0_0002, seq), n_ops as u64),
         }
+    }
+
+    fn write_entry(&self, rec: &mut OpenRecord, req: &DurableReq) {
+        let base = rec.off + REC_HDR_WORDS + rec.filled * ENTRY_WORDS;
+        for (j, word) in Self::entry_words(req).into_iter().enumerate() {
+            self.w(base + j).store(word, Ordering::Relaxed);
+            rec.sum = mix(rec.sum, word);
+        }
+        rec.filled += 1;
+    }
+
+    /// Commits a full record with a release store of its global
+    /// sequence number and advances the shard's tail past it.
+    fn commit(&self, shard: usize, rec: &OpenRecord) {
+        let words = Self::record_words(rec.n_ops);
+        self.w(rec.off + 2).store(rec.sum, Ordering::Relaxed);
+        fault::hit(FaultPoint::PostLog);
+        // The commit point: everything above is ordered before this
+        // release store, so a visible commit word implies a complete,
+        // checksummed payload.
+        self.w(rec.off).store(rec.seq + 1, Ordering::Release);
+        let tail = rec.off + words - self.area_off(shard);
+        self.w(self.tail_off(shard))
+            .store(tail as u64, Ordering::Relaxed);
+        if self.sync == SyncMode::Sync {
+            self.heap.msync(rec.off, words).ok();
+            self.heap.msync(H_GLOBAL_SEQ, 1).ok();
+            self.heap.msync(self.tail_off(shard), 1).ok();
+            self.stats.msyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        fault::hit(FaultPoint::PostCommit);
+        self.stats.records.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .entries
+            .fetch_add(rec.n_ops as u64, Ordering::Relaxed);
     }
 
     // ---- recovery --------------------------------------------------
@@ -961,32 +1038,27 @@ impl DurableCore {
         let mut committed: Vec<(u64, Vec<LoggedOp>)> = Vec::new();
         let mut torn = 0usize;
         let mut max_seq: u64 = 0;
+        let area_words = Self::area_words(self.record_cap, self.entries_cap);
         for shard in 0..self.shards {
-            let mut shard_max_idx: Option<usize> = None;
-            for idx in 0..self.record_cap {
-                let off = self.record_off(shard, idx);
+            let area = self.area_off(shard);
+            // Records are appended back to back under the apply lock,
+            // so the first uncommitted header ends the shard's log.
+            let mut pos = 0usize;
+            while pos + REC_HDR_WORDS <= area_words {
+                let off = area + pos;
                 let commit = self.w(off).load(Ordering::Acquire);
                 if commit == 0 {
-                    // Uncommitted slot. Everything past the first
-                    // uncommitted slot is also uncommitted (records
-                    // are appended in slot order under the apply
-                    // lock), so stop scanning this shard — but check
-                    // whether the slot holds a torn payload first.
-                    if self.w(off + 1).load(Ordering::Relaxed) != 0 {
-                        torn += 1;
-                    }
                     break;
                 }
                 let seq = commit - 1;
                 let n = self.w(off + 1).load(Ordering::Relaxed) as usize;
                 let stored_sum = self.w(off + 2).load(Ordering::Relaxed);
-                if n == 0 || n > self.entries_cap {
+                if n == 0 || n > self.entries_cap || pos + Self::record_words(n) > area_words {
                     return Err(DurableError::Corrupt(format!(
-                        "committed record {shard}/{idx} has implausible n_ops {n}"
+                        "committed record at {shard}/{pos} has implausible n_ops {n}"
                     )));
                 }
-                let mut sum = mix(0x5EC0_0002, seq);
-                sum = mix(sum, n as u64);
+                let mut sum = mix(mix(0x5EC0_0002, seq), n as u64);
                 let mut ops = Vec::with_capacity(n);
                 for i in 0..n {
                     let mut words = [0u64; ENTRY_WORDS];
@@ -1000,7 +1072,7 @@ impl DurableCore {
                     let rtag = ((meta >> 40) & 0xff) as u8;
                     let result = OpResult::from_words(rtag, result).ok_or_else(|| {
                         DurableError::Corrupt(format!(
-                            "record {shard}/{idx} entry {i} has bad result tag {rtag}"
+                            "record at {shard}/{pos} entry {i} has bad result tag {rtag}"
                         ))
                     })?;
                     ops.push(LoggedOp {
@@ -1016,19 +1088,38 @@ impl DurableCore {
                     // A commit word over a mismatched payload cannot
                     // come from an ordered crash; refuse the heap.
                     return Err(DurableError::Corrupt(format!(
-                        "committed record {shard}/{idx} fails its checksum"
+                        "committed record at {shard}/{pos} fails its checksum"
                     )));
                 }
                 fault::hit(FaultPoint::RecoverScan);
                 max_seq = max_seq.max(seq + 1);
                 committed.push((seq, ops));
-                shard_max_idx = Some(idx);
+                pos += Self::record_words(n);
             }
-            // Normalise the tail allocator: next append goes after the
-            // last committed record (idempotent; overwrites any torn
-            // slot the crash left at the old tail).
-            let tail = shard_max_idx.map_or(0, |i| i as u64 + 1);
-            self.w(self.tail_off(shard)).store(tail, Ordering::Relaxed);
+            // A crash mid-append leaves at most one torn record past
+            // the last committed one. Zero it: the next append may be
+            // shorter, and a stale word where a later record's commit
+            // word lands would read as a committed record. Only
+            // nonzero words are rewritten, so a clean tail dirties no
+            // page; a re-run after a kill here zeroes the rest.
+            let residue =
+                area + pos..area + (pos + Self::record_words(self.entries_cap)).min(area_words);
+            let mut dirty = false;
+            for i in residue.clone() {
+                if self.w(i).load(Ordering::Relaxed) != 0 {
+                    self.w(i).store(0, Ordering::Relaxed);
+                    dirty = true;
+                }
+            }
+            if dirty {
+                torn += 1;
+                if self.sync == SyncMode::Sync {
+                    self.heap.msync(residue.start, residue.len()).ok();
+                }
+            }
+            // Normalise the tail allocator (idempotent).
+            self.w(self.tail_off(shard))
+                .store(pos as u64, Ordering::Relaxed);
         }
         committed.sort_by_key(|&(seq, _)| seq);
         for pair in committed.windows(2) {
@@ -1114,5 +1205,304 @@ impl core::fmt::Debug for DurableCore {
             .field("entries_cap", &self.entries_cap)
             .field("heap", &self.heap)
             .finish()
+    }
+}
+
+/// The durable half of the engine: one driver for every family's
+/// durable ops, the solo attempt, and the batched combiner of the
+/// durable shard aggregators. A family contributes only
+/// [`CombineOp::durable`] and [`CombineOp::apply_durable`].
+impl<O: CombineOp> CombineEngine<O> {
+    /// Runs one durable op for the handle registered as `reclaim`:
+    /// persists its intent, then runs the request on the handle's
+    /// shard aggregator — solo when the shard is idle (see
+    /// [`DurableCore::try_solo`]), batched otherwise — and returns
+    /// the logged result.
+    pub(crate) fn run_durable(
+        &self,
+        reclaim: &ReclaimHandle<'_>,
+        opcode: u8,
+        operand: u64,
+        operand2: u64,
+    ) -> OpResult {
+        let d = self.op.durable().expect("durable route");
+        let tid = reclaim.slot();
+        let seq = d.start_seq(tid);
+        d.write_intent(tid, seq, opcode, operand, operand2);
+        let mut req = DurableReq::new(tid, seq, opcode, operand, operand2);
+        let node = (&mut req as *mut DurableReq).cast::<O::Node>();
+        self.run(
+            Lane::At(self.dur_base + d.shard_of(tid)),
+            Role::Remove,
+            node,
+            reclaim,
+        );
+        // Committed, caller not told yet — on either path.
+        fault::hit(FaultPoint::MidPublish);
+        req.take_result()
+    }
+
+    /// Whether aggregator `agg_idx` is a durable shard whose ops may
+    /// try [`CombineEngine::durable_solo`].
+    #[inline]
+    pub(super) fn durable_solo_at(&self, agg_idx: usize) -> bool {
+        agg_idx >= self.dur_base && self.op.durable().is_some_and(DurableCore::solo_enabled)
+    }
+
+    /// The solo attempt of a durable request announced on durable
+    /// shard `agg_idx` (the engine has checked its batch is idle).
+    pub(super) fn durable_solo(
+        &self,
+        agg_idx: usize,
+        node: *mut O::Node,
+        guard: &Guard<'_, '_>,
+    ) -> Option<Option<O::Value>> {
+        let d = self.op.durable()?;
+        // Safety: durable shards carry only `DurableReq`s, and this
+        // one lives in the calling `run_durable` frame, unannounced.
+        let req = unsafe { &mut *node.cast::<DurableReq>() };
+        d.try_solo(agg_idx - self.dur_base, req, |r| {
+            self.op.apply_durable(r, guard)
+        })
+        .then_some(None)
+    }
+
+    /// The combiner of a durable shard's frozen batch: walks the
+    /// frozen slots and hands each request to the core, which applies
+    /// and logs it under the apply lock.
+    pub(super) fn combine_durable(
+        &self,
+        batch: &CombineBatch<O::Node>,
+        my_seq: usize,
+        agg_idx: usize,
+        guard: &Guard<'_, '_>,
+    ) {
+        let d = self
+            .op
+            .durable()
+            .expect("durable shard on a durable structure");
+        let wait = self.config.wait;
+        let reqs = batch.slots[my_seq..batch.frozen_cut(Role::Remove)]
+            .iter()
+            .map(|s| wait_ptr(s, wait).cast::<DurableReq>());
+        // Safety: every pointer was announced into this frozen batch
+        // and its owner blocks until `applied`.
+        unsafe {
+            d.combine_batch(agg_idx - self.dur_base, reqs, |r| {
+                self.op.apply_durable(r, guard)
+            })
+        };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HANDLES: usize = 2;
+
+    /// A small two-shard geometry over a fresh Volatile heap.
+    fn policy(heap: &Arc<PersistentHeap>) -> DurablePolicy {
+        DurablePolicy::heap(Arc::clone(heap))
+            .shards(2)
+            .record_capacity(8)
+            .batch_entries(4)
+    }
+
+    fn fresh() -> (Arc<PersistentHeap>, DurableCore) {
+        let heap = PersistentHeap::volatile(DurableCore::words_needed(HANDLES, 2, 8, 4));
+        let core = DurableCore::create(&policy(&heap), Family::Counter, 0, HANDLES).unwrap();
+        (heap, core)
+    }
+
+    fn add(handle: usize, op_seq: u64, delta: u64) -> DurableReq {
+        DurableReq::new(handle, op_seq, opcode::ADD, delta, 0)
+    }
+
+    /// Applies and logs `reqs` on `shard` as one batch.
+    fn log(core: &DurableCore, shard: usize, reqs: &mut [DurableReq]) {
+        let ptrs = reqs.iter_mut().map(|r| r as *mut DurableReq);
+        // Safety: the pointers come from a live exclusive borrow.
+        unsafe {
+            core.combine_batch(shard, ptrs, |r| {
+                r.set_result(OpResult::Value(r.operand));
+            })
+        };
+    }
+
+    fn open(heap: &Arc<PersistentHeap>) -> Result<RecoveryReport, DurableError> {
+        DurableCore::open(&policy(heap), Family::Counter).map(|(_, r)| r)
+    }
+
+    fn logged(report: &RecoveryReport) -> Vec<(u32, u64, u64)> {
+        report
+            .ops
+            .iter()
+            .map(|op| (op.handle, op.op_seq, op.operand))
+            .collect()
+    }
+
+    /// Writes a torn record at `shard`'s tail: header and entries
+    /// land, the checksum and commit word never do.
+    fn tear(core: &DurableCore, shard: usize, reqs: &[DurableReq]) {
+        let mut rec = core.open_record(shard, reqs.len());
+        for r in reqs {
+            core.write_entry(&mut rec, r);
+        }
+    }
+
+    #[test]
+    fn a_zeroed_or_first_version_heap_is_bad_magic() {
+        let heap = PersistentHeap::volatile(DurableCore::words_needed(HANDLES, 2, 8, 4));
+        assert!(matches!(open(&heap), Err(DurableError::BadMagic)));
+        let (heap, _core) = fresh();
+        heap.word(H_VERSION).store(1, Ordering::Relaxed);
+        assert!(matches!(open(&heap), Err(DurableError::BadMagic)));
+    }
+
+    #[test]
+    fn another_familys_heap_is_refused() {
+        let (heap, _core) = fresh();
+        let r = DurableCore::open(&policy(&heap), Family::Stack);
+        assert!(matches!(r, Err(DurableError::WrongFamily)));
+    }
+
+    #[test]
+    fn a_supplied_heap_below_the_layout_is_refused() {
+        let needed = DurableCore::words_needed(HANDLES, 2, 8, 4);
+        let heap = PersistentHeap::volatile(needed - 1);
+        let r = DurableCore::create(&policy(&heap), Family::Counter, 0, HANDLES);
+        assert!(matches!(
+            r,
+            Err(DurableError::HeapTooSmall { needed: n, have }) if n == needed && have == needed - 1
+        ));
+    }
+
+    #[test]
+    fn a_torn_record_is_skipped_and_zeroed() {
+        let (heap, core) = fresh();
+        log(&core, 0, &mut [add(0, 1, 10), add(1, 1, 11)]);
+        log(&core, 0, &mut [add(0, 2, 12)]);
+        tear(&core, 0, &[add(0, 3, 13), add(1, 2, 14)]);
+        let report = open(&heap).unwrap();
+        assert_eq!(report.committed_records, 2);
+        assert_eq!(report.torn_records, 1);
+        assert_eq!(logged(&report), [(0, 1, 10), (1, 1, 11), (0, 2, 12)]);
+        // Recovery zeroed the residue: a second scan finds nothing torn.
+        let again = open(&heap).unwrap();
+        assert_eq!(again.torn_records, 0);
+        assert_eq!(again.ops, report.ops);
+    }
+
+    #[test]
+    fn a_committed_record_failing_its_checksum_is_corrupt() {
+        let (heap, core) = fresh();
+        log(&core, 1, &mut [add(0, 1, 10), add(1, 1, 11)]);
+        // The second entry's operand word.
+        let off = core.area_off(1) + REC_HDR_WORDS + ENTRY_WORDS + 2;
+        heap.word(off).fetch_xor(1, Ordering::Relaxed);
+        let err = open(&heap).unwrap_err();
+        assert!(
+            matches!(&err, DurableError::Corrupt(m) if m.contains("checksum")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_op_seq_gap_is_corrupt() {
+        let (heap, core) = fresh();
+        log(&core, 0, &mut [add(0, 1, 10)]);
+        log(&core, 1, &mut [add(0, 3, 12)]);
+        let err = open(&heap).unwrap_err();
+        assert!(
+            matches!(&err, DurableError::Corrupt(m) if m.contains("gap")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_torn_intent_never_executed() {
+        let (heap, core) = fresh();
+        core.write_intent(0, 1, opcode::ADD, 5, 0);
+        log(&core, 0, &mut [add(0, 1, 5)]);
+        core.write_intent(0, 2, opcode::ADD, 6, 0);
+        core.write_intent(1, 1, opcode::ADD, 7, 0);
+        // Handle 1 died between its field stores and its checksum.
+        heap.word(core.intent_off(1) + 4)
+            .store(0, Ordering::Relaxed);
+        let report = open(&heap).unwrap();
+        assert_eq!(
+            report.handles[0].pending,
+            PendingOutcome::NeverExecuted { op_seq: 2 }
+        );
+        assert_eq!(report.handles[1].pending, PendingOutcome::TornIntent);
+        assert_eq!(report.handles[1].executed, 0);
+    }
+
+    #[test]
+    fn shorter_records_over_a_torn_longer_one_recover_exactly() {
+        let (heap, core) = fresh();
+        log(&core, 0, &mut [add(0, 1, 10)]);
+        tear(&core, 0, &[add(0, 2, 11), add(1, 1, 12), add(1, 2, 13)]);
+        drop(core);
+        let (core, report) = DurableCore::open(&policy(&heap), Family::Counter).unwrap();
+        assert_eq!(report.torn_records, 1);
+        assert_eq!(logged(&report), [(0, 1, 10)]);
+        // A one-entry record, as the solo path writes it, ends where
+        // the torn record's second entry began: that entry's first
+        // word is where the next commit word lands.
+        let mut req = add(0, 2, 21);
+        assert!(core.try_solo(0, &mut req, |r| r.set_result(OpResult::Unit)));
+        drop(core);
+        let (core, report) = DurableCore::open(&policy(&heap), Family::Counter).unwrap();
+        assert_eq!(report.torn_records, 0);
+        assert_eq!(logged(&report), [(0, 1, 10), (0, 2, 21)]);
+        log(&core, 0, &mut [add(1, 1, 22), add(1, 2, 23)]);
+        drop(core);
+        let report = open(&heap).unwrap();
+        assert_eq!(report.torn_records, 0);
+        assert_eq!(report.committed_records, 3);
+        assert_eq!(
+            logged(&report),
+            [(0, 1, 10), (0, 2, 21), (1, 1, 22), (1, 2, 23)]
+        );
+    }
+
+    #[test]
+    fn records_pack_back_to_back_and_fill_the_area() {
+        let (heap, core) = fresh();
+        // The area holds 8 four-entry records (184 words), so 23
+        // one-entry records of 8 words.
+        let fit = DurableCore::area_words(8, 4) / DurableCore::record_words(1);
+        for seq in 1..=fit as u64 {
+            log(&core, 1, &mut [add(0, seq, seq)]);
+        }
+        assert_eq!(
+            core.w(core.tail_off(1)).load(Ordering::Relaxed) as usize,
+            fit * DurableCore::record_words(1)
+        );
+        let report = open(&heap).unwrap();
+        assert_eq!(report.committed_records, fit);
+        assert_eq!(report.torn_records, 0);
+    }
+
+    #[test]
+    fn solo_is_refused_under_sync_and_while_the_lock_is_held() {
+        let (heap, core) = fresh();
+        let mut req = add(0, 1, 1);
+        {
+            let _held = core.apply_lock.lock().unwrap();
+            assert!(!core.try_solo(0, &mut req, |_| unreachable!()));
+        }
+        let sync = DurableCore::create(
+            &policy(&PersistentHeap::volatile(heap.words())).sync(SyncMode::Sync),
+            Family::Counter,
+            0,
+            HANDLES,
+        )
+        .unwrap();
+        assert!(!sync.try_solo(0, &mut req, |_| unreachable!()));
+        assert!(core.try_solo(0, &mut req, |r| r.set_result(OpResult::Unit)));
+        assert_eq!(core.stats().records, 1);
     }
 }

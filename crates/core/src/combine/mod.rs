@@ -13,7 +13,9 @@
 //!   and the lazy per-handle `seen_k` re-map ([`OpState`]),
 //! * recycle-aware batch/slot allocation (DESIGN.md §10),
 //! * per-batch stats recording ([`SecStats`]),
-//! * the idle-batch gate of the solo fast path (DESIGN.md §17).
+//! * the idle-batch gate of the solo fast path (DESIGN.md §17),
+//! * the durable driver: intents, the solo attempt and the batched
+//!   combiner of the redo-logged shards (`durable`, DESIGN.md §16).
 //!
 //! A data structure instantiates the engine by implementing
 //! [`CombineOp`]: a sequential "apply this frozen batch to the shared
@@ -48,6 +50,7 @@ pub(crate) use batch::{
 };
 use core::ptr;
 use core::sync::atomic::{AtomicUsize, Ordering};
+use durable::{DurableCore, DurableReq};
 use sec_reclaim::{Collector, Guard, Handle as ReclaimHandle};
 use sec_sync::event::spin_wait;
 use sec_sync::CachePadded;
@@ -91,7 +94,11 @@ impl Role {
 ///   visible);
 /// * [`try_solo`] runs only when [`SOLO`] is set, for a weight-1
 ///   [`Lane::Mapped`] operation whose aggregator's current batch had
-///   no announcement on either lane, before the operation announces.
+///   no announcement on either lane, before the operation announces;
+/// * [`apply_durable`] runs only on a structure whose [`durable`] is
+///   set, under that core's apply lock, once per durable request —
+///   from a durable shard's combiner or from the request's own solo
+///   attempt. No other hook sees a durable shard's batches.
 ///
 /// [`combine_add`]: CombineOp::combine_add
 /// [`combine_remove`]: CombineOp::combine_remove
@@ -99,6 +106,8 @@ impl Role {
 /// [`take_result`]: CombineOp::take_result
 /// [`try_solo`]: CombineOp::try_solo
 /// [`SOLO`]: CombineOp::SOLO
+/// [`apply_durable`]: CombineOp::apply_durable
+/// [`durable`]: CombineOp::durable
 pub(crate) trait CombineOp: Sized + Send + Sync {
     /// The node type flowing through announcement slots and result
     /// chains.
@@ -124,6 +133,22 @@ pub(crate) trait CombineOp: Sized + Send + Sync {
     ) -> Option<Option<Self::Value>> {
         let _ = (role, node, guard);
         None
+    }
+
+    /// The redo log, when the structure was built durable (DESIGN.md
+    /// §16). The engine gives each of its shards an aggregator after
+    /// the layout's bulk suffix and routes their batches to
+    /// [`CombineOp::apply_durable`].
+    fn durable(&self) -> Option<&DurableCore> {
+        None
+    }
+
+    /// Applies one durable request to the shared structure and records
+    /// its result in the request. The core's apply lock is held, so
+    /// this is the structure's only mutator.
+    fn apply_durable(&self, req: &mut DurableReq, guard: &Guard<'_, '_>) {
+        let _ = (req, guard);
+        unreachable!("this family has no durable mode");
     }
 
     /// Apply the batch's surviving adds (sequence numbers
@@ -276,6 +301,10 @@ pub(crate) struct CombineEngine<O: CombineOp> {
     /// prefix length for [`AggLayout::Mapped`]; past the end when the
     /// layout carries none).
     bulk_base: usize,
+    /// Index of the first durable shard aggregator, which follow the
+    /// bulk suffix (== `aggs.len()` on a structure that is not
+    /// durable).
+    dur_base: usize,
     collector: Collector,
     stats: SecStats,
     /// Construction instant, anchoring [`TraceSnapshot::at_ns`].
@@ -317,7 +346,7 @@ impl<O: CombineOp> CombineEngine<O> {
         // fixed ends use the policy-derived capacity; dedicated bulk
         // aggregators must admit every thread (any thread may issue a
         // bulk call regardless of its mapped aggregator).
-        let (slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
+        let (mut slotting, bulk_base): (Vec<(bool, usize)>, usize) = match layout {
             AggLayout::Mapped { with_slots, bulk } => {
                 let mut v = vec![(with_slots, cap); config.aggregators];
                 v.extend((0..bulk).map(|_| (true, config.max_threads)));
@@ -330,6 +359,10 @@ impl<O: CombineOp> CombineEngine<O> {
                 (v, base)
             }
         };
+        // Durable shards, like bulk aggregators, admit every thread.
+        let dur_base = slotting.len();
+        let shards = op.durable().map_or(0, DurableCore::shards);
+        slotting.extend((0..shards).map(|_| (true, config.max_threads)));
         Self {
             name,
             op,
@@ -340,6 +373,7 @@ impl<O: CombineOp> CombineEngine<O> {
             active: CachePadded::new(AtomicUsize::new(config.policy.initial_active())),
             monitor: ContentionMonitor::new(),
             bulk_base,
+            dur_base,
             collector: Collector::with_recycle(config.max_threads, config.recycle),
             stats: SecStats::with_threads(config.max_threads),
             born: Instant::now(),
@@ -891,12 +925,16 @@ impl<O: CombineOp> CombineEngine<O> {
         tid: usize,
         trace: Option<&TraceRecorder>,
     ) -> Option<O::Value> {
-        // Only single mapped operations may go solo: bulk and durable
-        // operations (and the queue's and deque's ends) always announce
-        // on `Lane::At` aggregators, whose combiners keep the
-        // guarantees they rely on (one splice per chunk, one log record
-        // per batch).
-        let mut solo = O::SOLO && ops == 1 && matches!(lane, Lane::Mapped(_));
+        // Only single operations may go solo: mapped ones of a `SOLO`
+        // family, and durable requests when their policy allows. Bulk
+        // operations (and the queue's and deque's ends) always
+        // announce, since their combiners keep guarantees they rely on
+        // (one splice per chunk).
+        let mut solo = ops == 1
+            && match &lane {
+                Lane::Mapped(_) => O::SOLO,
+                Lane::At(i) => self.durable_solo_at(*i),
+            };
         loop {
             // Re-resolve the mapping each attempt: an excluded retry
             // after an elastic re-mapping must land on the thread's
@@ -916,7 +954,11 @@ impl<O: CombineOp> CombineEngine<O> {
             // operation applies itself. If that loses a race, it
             // announces below as if it had never tried.
             if core::mem::take(&mut solo) && batch.is_idle() {
-                if let Some(out) = self.op.try_solo(role, node, &guard) {
+                let out = match &lane {
+                    Lane::Mapped(_) => self.op.try_solo(role, node, &guard),
+                    Lane::At(_) => self.durable_solo(agg_idx, node, &guard),
+                };
+                if let Some(out) = out {
                     self.stats.record_solo(tid);
                     if let Some(t) = trace {
                         t.record(
@@ -1013,7 +1055,11 @@ impl<O: CombineOp> CombineEngine<O> {
                     // Line 69: combiner test.
                     if my_seq == other_cut {
                         self.traced_combine(trace, tid, agg_idx, role, || {
-                            self.op.combine_remove(self, batch, my_seq, agg_idx, &guard);
+                            if agg_idx >= self.dur_base {
+                                self.combine_durable(batch, my_seq, agg_idx, &guard);
+                            } else {
+                                self.op.combine_remove(self, batch, my_seq, agg_idx, &guard);
+                            }
                         });
                         // Line 71 — and wake the batch's waiters.
                         mark_applied(agg, batch, batch_ptr, self.stats.wait());
@@ -1021,6 +1067,11 @@ impl<O: CombineOp> CombineEngine<O> {
                     } else {
                         // Line 73: parked wait for the combiner.
                         self.traced_wait_applied(trace, tid, agg_idx, agg, batch, batch_ptr);
+                    }
+                    // Durable requests carry their results back in the
+                    // request itself.
+                    if agg_idx >= self.dur_base {
+                        return None;
                     }
                     // Line 76: consume our offset of the result chain.
                     return self

@@ -24,8 +24,8 @@
 //! for free.
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    opcode, DurableCore, DurableError, DurablePolicy, DurableReq, DurableStats, Family, OpResult,
+    RecoveryReport,
 };
 use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
 use crate::config::SecConfig;
@@ -44,14 +44,10 @@ struct CounterOp {
     /// order, at the combiner's single `fetch_add` on this word.
     total: CachePadded<AtomicU64>,
     /// Redo log + intent cells when built durable (DESIGN.md §16).
-    /// When set, every `fetch_add` routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
+    /// When set, every `fetch_add` is a durable request (see
+    /// `apply_durable`).
     durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (the `add_many`
-/// aggregator sits at `bulk_agg(0)`).
-const DUR_BASE: usize = 1;
 
 /// A bulk `add_many` announcement: the node flowing through the
 /// counter's dedicated bulk aggregator. Lives on the announcer's stack
@@ -75,6 +71,16 @@ impl CombineOp for CounterOp {
     // of a counter batch is always empty, so the engine never calls
     // them.
 
+    fn durable(&self) -> Option<&DurableCore> {
+        self.durable.as_ref()
+    }
+
+    /// A durable `fetch_add`, applied under the apply lock.
+    fn apply_durable(&self, req: &mut DurableReq, _guard: &Guard<'_, '_>) {
+        let prev = self.total.fetch_add(req.operand, Ordering::AcqRel);
+        req.set_result(OpResult::Value(prev));
+    }
+
     /// Sum the frozen batch's operands, add the total to the central
     /// counter with one RMW, and write each participant's pre-sum back
     /// into its announcement slot. Allocation-free: two passes over
@@ -89,17 +95,6 @@ impl CombineOp for CounterOp {
     ) {
         if agg_idx == eng.bulk_agg(0) {
             return self.combine_add_many(eng, batch, my_seq);
-        }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                return self.combine_durable(
-                    eng,
-                    batch,
-                    my_seq,
-                    agg_idx - eng.bulk_agg(DUR_BASE),
-                    d,
-                );
-            }
         }
         let cut = batch.frozen_cut(Role::Remove);
 
@@ -143,14 +138,6 @@ impl CombineOp for CounterOp {
         guard: &Guard<'_, '_>,
     ) -> Option<u64> {
         if agg_idx == eng.bulk_agg(0) {
-            return None;
-        }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct; nothing to take. The hook is the harness's
-            // mid-publish crash point: results are committed but some
-            // announcers may not have consumed them yet.
-            fault::hit(FaultPoint::MidPublish);
             return None;
         }
         let n = batch.slots[offset].load(Ordering::Acquire);
@@ -206,30 +193,6 @@ impl CounterOp {
             }
         }
     }
-
-    /// The durable combiner: applies each frozen `fetch_add` and logs
-    /// the batch under the core's apply lock; the record is committed
-    /// before this returns, so the engine's publish never exposes an
-    /// unlogged result.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<u64>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| {
-                let prev = self.total.fetch_add(req.operand, Ordering::AcqRel);
-                req.set_result(OpResult::Value(prev));
-            });
-        }
-    }
 }
 
 /// A linearizable combining fetch-and-add counter.
@@ -268,7 +231,6 @@ impl SecCounter {
     }
 
     fn build(config: SecConfig, durable: Option<DurableCore>, initial: u64) -> Self {
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
         Self {
             engine: CombineEngine::new(
                 "SecCounter",
@@ -278,20 +240,20 @@ impl SecCounter {
                 },
                 config,
                 // One dedicated bulk aggregator after the mapped
-                // prefix, carrying `add_many` request batches; durable
-                // shards (if any) follow it.
+                // prefix, carrying `add_many` request batches.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: 1 + shards,
+                    bulk: 1,
                 },
             ),
         }
     }
 
     /// Creates a crash-durable counter over `policy`'s persistent
-    /// heap: every `fetch_add` writes an intent cell before announcing
-    /// and is redo-logged (with its result) by its batch's combiner
-    /// before the result is published. See DESIGN.md §16.
+    /// heap: every `fetch_add` writes an intent cell and is redo-logged
+    /// (with its result) before the result is published — by its
+    /// batch's combiner, or by the op itself when its shard is idle.
+    /// See DESIGN.md §16.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
         let core = DurableCore::create(&policy, Family::Counter, 0, max_threads)?;
         Ok(Self::build(SecConfig::new(2, max_threads), Some(core), 0))
@@ -337,17 +299,10 @@ impl SecCounter {
     /// Registers the calling thread and returns its operation handle.
     pub fn register(&self) -> SecCounterHandle<'_> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecCounterHandle {
             counter: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -420,9 +375,6 @@ pub struct SecCounterHandle<'a> {
     counter: &'a SecCounter,
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable counters, unused otherwise).
-    dur_seq: u64,
 }
 
 impl SecCounterHandle<'_> {
@@ -462,27 +414,13 @@ impl SecCounterHandle<'_> {
             .expect("counter combiner always produces a result")
     }
 
-    /// The durable `fetch_add` path: persist the intent, announce a
-    /// request on this thread's durable shard, read the logged result
-    /// back out of the request after publish.
+    /// The durable `fetch_add`: one logged, detectable op.
     fn durable_add(&mut self, n: u64) -> u64 {
-        let eng = &self.counter.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, opcode::ADD, n, 0);
-        let mut req = DurableReq::new(tid, seq, opcode::ADD, n, 0);
-        let node = (&mut req as *mut DurableReq).cast::<Node<u64>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        match req.take_result() {
+        match self
+            .counter
+            .engine
+            .run_durable(&self.reclaim, opcode::ADD, n, 0)
+        {
             OpResult::Value(v) => v,
             other => unreachable!("durable add produced {other:?}"),
         }

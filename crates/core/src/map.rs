@@ -40,8 +40,8 @@
 //!   combiners run one batch at a time, so the lock is uncontended.
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableReq, DurableStats, Family,
+    OpResult, RecoveryReport,
 };
 use crate::combine::{AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role};
 use crate::config::{AggregatorPolicy, SecConfig};
@@ -134,15 +134,10 @@ struct MapOp<K, V> {
     /// a shard cannot simply own its buckets unlocked.
     buckets: Box<[Bucket<K, V>]>,
     /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every operation routes through the dedicated durable
-    /// aggregators at `bulk_agg(DUR_BASE..)`.
+    /// when set, every operation is a durable request (see
+    /// `apply_durable`).
     durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (the map has no
-/// other bulk aggregators — its bulk ops ride weighted announcements
-/// on the mapped shards).
-const DUR_BASE: usize = 0;
 
 /// One association-list bucket: the live `(key, value)` pairs under
 /// their per-bucket lock.
@@ -197,47 +192,6 @@ impl<K: Hash + Eq, V> MapOp<K, V> {
     }
 }
 
-impl<K, V> MapOp<K, V>
-where
-    K: Hash + Eq + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    /// The durable combiner: applies each frozen get/insert/remove
-    /// under its bucket lock and redo-logs the batch under the core's
-    /// apply lock. On a durable map *every* operation routes here, so
-    /// the apply lock serializes all bucket mutations and log order
-    /// equals application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<MapNode<K, V>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| {
-                let key: K = durable::from_word(req.operand);
-                let bucket = self.bucket_of(&key);
-                let cmd = match req.opcode {
-                    opcode::MAP_GET => MapCmd::Get(key),
-                    opcode::MAP_INSERT => MapCmd::Insert(key, durable::from_word(req.operand2)),
-                    opcode::MAP_REMOVE => MapCmd::Remove(key),
-                    other => unreachable!("map durable opcode {other}"),
-                };
-                req.set_result(match self.apply(bucket, cmd) {
-                    None => OpResult::Empty,
-                    Some(v) => OpResult::Value(durable::to_word(v)),
-                });
-            });
-        }
-    }
-}
-
 impl<K, V> CombineOp for MapOp<K, V>
 where
     K: Hash + Eq + Send + Sync + 'static,
@@ -249,6 +203,28 @@ where
     // `combine_add` and `eliminate` keep their defaults: every map
     // operation is result-bearing, so the add lane of a map batch is
     // always empty and the engine never calls them.
+
+    fn durable(&self) -> Option<&DurableCore> {
+        self.durable.as_ref()
+    }
+
+    /// A durable get/insert/remove, applied under its bucket lock with
+    /// the apply lock held — which serializes all bucket mutations, so
+    /// log order equals application order, which replay relies on.
+    fn apply_durable(&self, req: &mut DurableReq, _guard: &Guard<'_, '_>) {
+        let key: K = durable::from_word(req.operand);
+        let bucket = self.bucket_of(&key);
+        let cmd = match req.opcode {
+            opcode::MAP_GET => MapCmd::Get(key),
+            opcode::MAP_INSERT => MapCmd::Insert(key, durable::from_word(req.operand2)),
+            opcode::MAP_REMOVE => MapCmd::Remove(key),
+            other => unreachable!("map durable opcode {other}"),
+        };
+        req.set_result(match self.apply(bucket, cmd) {
+            None => OpResult::Empty,
+            Some(v) => OpResult::Value(durable::to_word(v)),
+        });
+    }
 
     /// Apply the frozen batch in announcement order: for each slot,
     /// consume the command, apply it under its bucket's lock, and write
@@ -262,15 +238,9 @@ where
         eng: &CombineEngine<Self>,
         batch: &CombineBatch<MapNode<K, V>>,
         my_seq: usize,
-        agg_idx: usize,
+        _agg_idx: usize,
         _guard: &Guard<'_, '_>,
     ) {
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d);
-            }
-        }
         let cut = batch.frozen_cut(Role::Remove);
         for slot in &batch.slots[my_seq..cut] {
             let n = crate::combine::wait_ptr(slot, eng.config().wait);
@@ -327,19 +297,12 @@ where
     /// the operation's own sequence number.
     fn take_result(
         &self,
-        eng: &CombineEngine<Self>,
+        _eng: &CombineEngine<Self>,
         batch: &CombineBatch<MapNode<K, V>>,
         offset: usize,
-        agg_idx: usize,
+        _agg_idx: usize,
         guard: &Guard<'_, '_>,
     ) -> Option<Option<V>> {
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
-            return None;
-        }
         let n = batch.slots[offset].load(Ordering::Acquire);
         debug_assert!(
             !n.is_null(),
@@ -418,7 +381,6 @@ where
             }
             AggregatorPolicy::Adaptive { .. } => config,
         };
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
         let mut op = MapOp::with_buckets(buckets);
         op.durable = durable;
         Self {
@@ -426,10 +388,11 @@ where
                 "SecMap",
                 op,
                 config,
-                // Durable shards (if any) are the whole bulk suffix.
+                // No bulk aggregators: bulk ops ride weighted
+                // announcements on the mapped shards.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: shards,
+                    bulk: 0,
                 },
             ),
         }
@@ -457,17 +420,10 @@ where
     /// Registers the calling thread and returns its operation handle.
     pub fn register(&self) -> SecMapHandle<'_, K, V> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecMapHandle {
             map: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -552,12 +508,12 @@ where
 
 impl SecMap<u64, u64> {
     /// Creates a crash-durable map over `policy`'s persistent heap:
-    /// every get/insert/remove writes an intent cell before announcing
-    /// and is redo-logged (with its result) by its batch's combiner
-    /// before the result is published (DESIGN.md §16). Durable
-    /// structures carry `u64` keys and values; the creation-time
-    /// bucket count is recorded in the heap header so
-    /// [`SecMap::recover`] rebuilds identically.
+    /// every get/insert/remove writes an intent cell and is
+    /// redo-logged (with its result) before the result is published —
+    /// by its batch's combiner, or by the op itself when its shard is
+    /// idle (DESIGN.md §16). Durable structures carry `u64` keys and
+    /// values; the creation-time bucket count is recorded in the heap
+    /// header so [`SecMap::recover`] rebuilds identically.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
         let core = DurableCore::create(&policy, Family::Map, DEFAULT_BUCKETS as u64, max_threads)?;
         Ok(Self::build(
@@ -660,9 +616,6 @@ where
     map: &'a SecMap<K, V>,
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable maps, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<K, V> SecMapHandle<'_, K, V>
@@ -735,27 +688,13 @@ where
         self.run_op(bucket, MapCmd::Remove(key.clone()))
     }
 
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
+    /// The durable op path: one logged, detectable op.
     fn durable_op(&mut self, op: u8, operand: u64, operand2: u64) -> Option<V> {
-        let eng = &self.map.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, op, operand, operand2);
-        let mut req = DurableReq::new(tid, seq, op, operand, operand2);
-        let node = (&mut req as *mut DurableReq).cast::<MapNode<K, V>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        match req.take_result() {
+        match self
+            .map
+            .engine
+            .run_durable(&self.reclaim, op, operand, operand2)
+        {
             OpResult::Empty => None,
             OpResult::Value(w) => Some(durable::from_word(w)),
             OpResult::Unit => unreachable!("map ops always log a value-or-empty result"),

@@ -43,8 +43,8 @@
 //! retired by a later combiner).
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableReq, DurableStats, Family,
+    OpResult, RecoveryReport,
 };
 use crate::combine::{wait_ptr, AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, Role};
 use crate::config::{RecyclePolicy, SecConfig, WaitPolicy};
@@ -72,11 +72,6 @@ const DEFAULT_RENDEZVOUS_SPINS: u32 = 128;
 const HEAD: usize = 0;
 const TAIL: usize = 1;
 const HEAD_BULK: usize = 2;
-
-/// Bulk-aggregator index of the first durable shard. The queue's three
-/// fixed aggregators are the whole `Fixed` prefix, so the bulk suffix
-/// holds nothing *but* durable shards: shard `s` is `bulk_agg(s)`.
-const DUR_BASE: usize = 0;
 
 /// A queue node. `value` is `MaybeUninit` (not `ManuallyDrop` as in the
 /// stack) because the MS-queue representation needs nodes with *no*
@@ -192,8 +187,8 @@ struct QueueOp<T: Send + 'static> {
     /// elimination counter).
     rendezvous_hits: AtomicU64,
     /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every mutating op routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
+    /// when set, every mutating op is a durable request (see
+    /// `apply_durable`).
     durable: Option<DurableCore>,
 }
 
@@ -309,62 +304,50 @@ impl<T: Send + 'static> QueueOp<T> {
             unsafe { (*req).taken = got };
         }
     }
-
-    /// The durable combiner: applies each frozen enqueue/dequeue to
-    /// the MS list and redo-logs the batch under the core's apply
-    /// lock. On a durable queue *every* mutating op routes here, so
-    /// the apply lock is the only `head`/`tail` writer and log order
-    /// equals application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<QNode<T>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-        guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`; the apply lock makes
-        // this the list's unique mutator.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| match req.opcode {
-                opcode::ENQUEUE => {
-                    let value: T = durable::from_word(req.operand);
-                    let n = Box::into_raw(Box::new(QNode {
-                        value: MaybeUninit::new(value),
-                        next: AtomicPtr::new(ptr::null_mut()),
-                    }));
-                    let t = self.tail.load(Ordering::Relaxed);
-                    (*t).next.store(n, Ordering::Release);
-                    self.tail.store(n, Ordering::Release);
-                    req.set_result(OpResult::Unit);
-                }
-                opcode::DEQUEUE => {
-                    let h = self.head.load(Ordering::Relaxed);
-                    let n = (*h).next.load(Ordering::Relaxed);
-                    if n.is_null() {
-                        req.set_result(OpResult::Empty);
-                    } else {
-                        // MS discipline: `n` becomes the new dummy;
-                        // its value moves out, its husk stays linked.
-                        let value = QNode::take_value(n);
-                        self.head.store(n, Ordering::Release);
-                        guard.retire_recycle(h);
-                        req.set_result(OpResult::Value(durable::to_word(value)));
-                    }
-                }
-                other => unreachable!("queue durable opcode {other}"),
-            });
-        }
-    }
 }
 
 impl<T: Send + 'static> CombineOp for QueueOp<T> {
     type Node = QNode<T>;
     type Value = T;
+
+    fn durable(&self) -> Option<&DurableCore> {
+        self.durable.as_ref()
+    }
+
+    /// A durable enqueue or dequeue, applied under the apply lock —
+    /// the only `head`/`tail` writer on a durable queue, so plain
+    /// stores suffice and log order equals application order, which
+    /// replay relies on.
+    fn apply_durable(&self, req: &mut DurableReq, guard: &Guard<'_, '_>) {
+        let result = match req.opcode {
+            opcode::ENQUEUE => {
+                let n = QNode::alloc_with(guard.handle(), durable::from_word::<T>(req.operand));
+                let t = self.tail.load(Ordering::Relaxed);
+                // Safety: `tail` is the live last node; we are its
+                // only writer.
+                unsafe { (*t).next.store(n, Ordering::Release) };
+                self.tail.store(n, Ordering::Release);
+                OpResult::Unit
+            }
+            opcode::DEQUEUE => {
+                let h = self.head.load(Ordering::Relaxed);
+                // Safety: `head` is the live dummy.
+                let n = unsafe { (*h).next.load(Ordering::Relaxed) };
+                if n.is_null() {
+                    OpResult::Empty
+                } else {
+                    // MS discipline: `n` becomes the new dummy; its
+                    // value moves out, the old dummy recycles.
+                    let value = unsafe { QNode::take_value(n) };
+                    self.head.store(n, Ordering::Release);
+                    unsafe { guard.retire_recycle(h) };
+                    OpResult::Value(durable::to_word(value))
+                }
+            }
+            other => unreachable!("queue durable opcode {other}"),
+        };
+        req.set_result(result);
+    }
 
     // ------------------------------------------------------------------
     // Enqueue combining (the tail aggregator's add lane)
@@ -451,12 +434,6 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         // nodes — its batches take whole blocks per request.
         if agg_idx == HEAD_BULK {
             return self.combine_dequeue_many(eng, batch, my_seq, guard);
-        }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d, guard);
-            }
         }
         let wanted = batch.frozen_cut(Role::Remove) - my_seq;
         debug_assert!(wanted >= 1);
@@ -561,7 +538,7 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
     /// whose `next` keeps evolving), hence the published `taken` bound.
     fn take_result(
         &self,
-        eng: &CombineEngine<Self>,
+        _eng: &CombineEngine<Self>,
         batch: &CombineBatch<QNode<T>>,
         offset: usize,
         agg_idx: usize,
@@ -570,13 +547,6 @@ impl<T: Send + 'static> CombineOp for QueueOp<T> {
         if agg_idx == HEAD_BULK {
             // Bulk dequeues received their values through their
             // request's buffer; there is no result chain to consume.
-            return None;
-        }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
             return None;
         }
         let taken = batch.taken.load(Ordering::Acquire) as usize;
@@ -660,9 +630,7 @@ impl<T: Send + 'static> SecQueue<T> {
         // carry no slots — single dequeuers bring no nodes; the bulk
         // aggregator's slots carry requests. Bulk *enqueues* need no
         // aggregator of their own: they announce chains on TAIL, whose
-        // combiner is chain-aware. Durable shards (if any) follow as
-        // the bulk suffix.
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
+        // combiner is chain-aware.
         let dummy = QNode::alloc_dummy();
         Self {
             engine: CombineEngine::new(
@@ -677,7 +645,7 @@ impl<T: Send + 'static> SecQueue<T> {
                 SecConfig::new(1, max_threads),
                 AggLayout::Fixed {
                     ends: &[false, true, true],
-                    bulk: shards,
+                    bulk: 0,
                 },
             ),
         }
@@ -734,19 +702,10 @@ impl<T: Send + 'static> SecQueue<T> {
     ///
     /// If more threads register than the queue was constructed for.
     pub fn register(&self) -> SecQueueHandle<'_, T> {
-        let (reclaim, state) = self.engine.register();
-        let tid = state.tid();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(tid));
+        let (reclaim, _) = self.engine.register();
         SecQueueHandle {
             queue: self,
             reclaim,
-            tid,
-            dur_seq,
         }
     }
 
@@ -800,10 +759,10 @@ impl<T: Send + 'static> SecQueue<T> {
 
 impl SecQueue<u64> {
     /// Creates a crash-durable queue over `policy`'s persistent heap:
-    /// every enqueue/dequeue writes an intent cell before announcing
-    /// and is redo-logged (with its result) by its batch's combiner
-    /// before the result is published (DESIGN.md §16). Durable
-    /// structures carry `u64` payloads.
+    /// every enqueue/dequeue writes an intent cell and is redo-logged
+    /// (with its result) before the result is published — by its
+    /// batch's combiner, or by the op itself when its shard is idle
+    /// (DESIGN.md §16). Durable structures carry `u64` payloads.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
         let core = DurableCore::create(&policy, Family::Queue, 0, max_threads)?;
         Ok(Self::build(max_threads, Some(core)))
@@ -908,11 +867,6 @@ impl<T: Send + 'static> ConcurrentQueue<T> for SecQueue<T> {
 pub struct SecQueueHandle<'a, T: Send + 'static> {
     queue: &'a SecQueue<T>,
     reclaim: ReclaimHandle<'a>,
-    /// This thread's dense id (the durable intent-cell index).
-    tid: usize,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable queues, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<T: Send + 'static> SecQueueHandle<'_, T> {
@@ -927,7 +881,9 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     pub fn enqueue(&mut self, value: T) {
         if self.queue.engine.op().durable.is_some() {
             let w = durable::to_word(value);
-            self.durable_op(opcode::ENQUEUE, w);
+            self.queue
+                .engine
+                .run_durable(&self.reclaim, opcode::ENQUEUE, w, 0);
             return;
         }
         // One node per enqueue, reused across batch retries — popped
@@ -944,7 +900,11 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
     /// in announcement order, which is what makes the block FIFO.
     pub fn dequeue(&mut self) -> Option<T> {
         if self.queue.engine.op().durable.is_some() {
-            return match self.durable_op(opcode::DEQUEUE, 0) {
+            return match self
+                .queue
+                .engine
+                .run_durable(&self.reclaim, opcode::DEQUEUE, 0, 0)
+            {
                 OpResult::Empty => None,
                 OpResult::Value(w) => Some(durable::from_word(w)),
                 OpResult::Unit => unreachable!("dequeue produced a unit result"),
@@ -953,28 +913,6 @@ impl<T: Send + 'static> SecQueueHandle<'_, T> {
         self.queue
             .engine
             .run(Lane::At(HEAD), Role::Remove, ptr::null_mut(), &self.reclaim)
-    }
-
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
-    fn durable_op(&mut self, op: u8, operand: u64) -> OpResult {
-        let eng = &self.queue.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let seq = self.dur_seq;
-        d.write_intent(self.tid, seq, op, operand, 0);
-        let mut req = DurableReq::new(self.tid, seq, op, operand, 0);
-        let node = (&mut req as *mut DurableReq).cast::<QNode<T>>();
-        let shard = d.shard_of(self.tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        req.take_result()
     }
 
     /// Bulk enqueue: appends every value of `values`, in slice order,

@@ -35,8 +35,8 @@ pub(crate) mod node;
 pub mod stats;
 
 use crate::combine::durable::{
-    self, fault, fault::FaultPoint, opcode, DurableCore, DurableError, DurablePolicy, DurableReq,
-    DurableStats, Family, OpResult, RecoveryReport,
+    self, opcode, DurableCore, DurableError, DurablePolicy, DurableReq, DurableStats, Family,
+    OpResult, RecoveryReport,
 };
 use crate::combine::{
     wait_ptr, AggLayout, CombineBatch, CombineEngine, CombineOp, Lane, OpState, Role,
@@ -63,14 +63,10 @@ struct StackOp<T: Send + 'static> {
     /// (DESIGN.md §17), and peeks load it.
     top: CachePadded<AtomicPtr<Node<T>>>,
     /// Redo log + intent cells when built durable (DESIGN.md §16);
-    /// when set, every mutating op routes through the dedicated
-    /// durable aggregators at `bulk_agg(DUR_BASE..)`.
+    /// when set, every mutating op is a durable request (see
+    /// `apply_durable`).
     durable: Option<DurableCore>,
 }
-
-/// Bulk-aggregator index of the first durable shard (`bulk_agg(0)` is
-/// `push_many`, `bulk_agg(1)` is `pop_many`).
-const DUR_BASE: usize = 2;
 
 /// A bulk-pop announcement: `pop_many` announces one of these (cast to
 /// the node type — the engine never dereferences announcement
@@ -186,54 +182,6 @@ impl<T: Send + 'static> StackOp<T> {
             unsafe { (*req).taken = taken };
         }
     }
-
-    /// The durable combiner: applies each frozen push/pop to the
-    /// shared stack and redo-logs the batch under the core's apply
-    /// lock. On a durable stack *every* mutating op routes here, so
-    /// the apply lock is the only `top` writer and log order equals
-    /// application order — the property replay relies on.
-    fn combine_durable(
-        &self,
-        eng: &CombineEngine<Self>,
-        batch: &CombineBatch<Node<T>>,
-        my_seq: usize,
-        shard: usize,
-        d: &DurableCore,
-        guard: &Guard<'_, '_>,
-    ) {
-        let cut = batch.frozen_cut(Role::Remove);
-        let reqs = durable::frozen_reqs(batch, my_seq, cut, eng.config().wait);
-        // Safety: every pointer was announced into this frozen batch
-        // and its owner blocks until `applied`; pops are each node's
-        // unique consumer under the apply lock.
-        unsafe {
-            d.combine_batch(shard, &reqs, |req| match req.opcode {
-                opcode::PUSH => {
-                    let value: T = durable::from_word(req.operand);
-                    let cur = self.top.load(Ordering::Relaxed);
-                    let n = Box::into_raw(Box::new(Node {
-                        value: core::mem::ManuallyDrop::new(value),
-                        next: AtomicPtr::new(cur),
-                    }));
-                    self.top.store(n, Ordering::Release);
-                    req.set_result(OpResult::Unit);
-                }
-                opcode::POP => {
-                    let t = self.top.load(Ordering::Relaxed);
-                    if t.is_null() {
-                        req.set_result(OpResult::Empty);
-                    } else {
-                        let next = (*t).next.load(Ordering::Relaxed);
-                        self.top.store(next, Ordering::Release);
-                        let value = Node::take_value(t);
-                        guard.retire_recycle(t);
-                        req.set_result(OpResult::Value(durable::to_word(value)));
-                    }
-                }
-                other => unreachable!("stack durable opcode {other}"),
-            });
-        }
-    }
 }
 
 impl<T: Send + 'static> CombineOp for StackOp<T> {
@@ -241,6 +189,42 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
     type Value = T;
 
     const SOLO: bool = true;
+
+    fn durable(&self) -> Option<&DurableCore> {
+        self.durable.as_ref()
+    }
+
+    /// A durable push or pop, applied under the apply lock — the only
+    /// `top` writer on a durable stack, so plain stores suffice and
+    /// log order equals application order, which replay relies on.
+    fn apply_durable(&self, req: &mut DurableReq, guard: &Guard<'_, '_>) {
+        let top = self.top.load(Ordering::Relaxed);
+        let result = match req.opcode {
+            opcode::PUSH => {
+                let n = Node::alloc_with(guard.handle(), durable::from_word::<T>(req.operand));
+                // Safety: the fresh node is ours until the store below
+                // publishes it.
+                unsafe { (*n).next.store(top, Ordering::Relaxed) };
+                self.top.store(n, Ordering::Release);
+                OpResult::Unit
+            }
+            opcode::POP if top.is_null() => OpResult::Empty,
+            opcode::POP => {
+                // Safety: the apply lock makes us `top`'s unique
+                // consumer; payload out, husk recycles.
+                let value = unsafe {
+                    self.top
+                        .store((*top).next.load(Ordering::Relaxed), Ordering::Release);
+                    let value = Node::take_value(top);
+                    guard.retire_recycle(top);
+                    value
+                };
+                OpResult::Value(durable::to_word(value))
+            }
+            other => unreachable!("stack durable opcode {other}"),
+        };
+        req.set_result(result);
+    }
 
     /// One Treiber step on `top` (DESIGN.md §17). A solo push
     /// linearizes at its CAS; a solo pop at its CAS, or at its load of
@@ -370,12 +354,6 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         if agg_idx == eng.bulk_agg(1) {
             return self.combine_pop_many(eng, batch, my_seq, guard);
         }
-        if let Some(d) = &self.durable {
-            if agg_idx >= eng.bulk_agg(DUR_BASE) {
-                let shard = agg_idx - eng.bulk_agg(DUR_BASE);
-                return self.combine_durable(eng, batch, my_seq, shard, d, guard);
-            }
-        }
         let remove_at_freeze = batch.frozen_cut(Role::Remove);
         // One node per non-eliminated pop. (Erratum fix, DESIGN.md
         // §2.2: the paper's `while ++i < popCountAtFreeze` advances
@@ -441,13 +419,6 @@ impl<T: Send + 'static> CombineOp for StackOp<T> {
         if agg_idx == eng.bulk_agg(1) {
             // Bulk pops received their values through their request's
             // buffer; there is no result chain to consume.
-            return None;
-        }
-        if self.durable.is_some() && agg_idx >= eng.bulk_agg(DUR_BASE) {
-            // Durable requests carry their results in the request
-            // struct. The hook is the harness's mid-publish crash
-            // point (results committed, not all consumed yet).
-            fault::hit(FaultPoint::MidPublish);
             return None;
         }
         let mut cur = batch.result_head.load(Ordering::Acquire);
@@ -529,7 +500,6 @@ impl<T: Send + 'static> SecStack<T> {
     }
 
     fn build(config: SecConfig, durable: Option<DurableCore>) -> Self {
-        let shards = durable.as_ref().map_or(0, |d| d.shards());
         Self {
             engine: CombineEngine::new(
                 "SecStack",
@@ -543,10 +513,10 @@ impl<T: Send + 'static> SecStack<T> {
                 // `bulk_agg(1)` carries `pop_many` requests (remove
                 // lane). Each is single-lane, so its batches degenerate
                 // to pure combining — elimination never applies to a
-                // bulk announcement. Durable shards (if any) follow.
+                // bulk announcement.
                 AggLayout::Mapped {
                     with_slots: true,
-                    bulk: 2 + shards,
+                    bulk: 2,
                 },
             ),
         }
@@ -557,17 +527,10 @@ impl<T: Send + 'static> SecStack<T> {
     /// callers don't need the trait in scope.
     pub fn register(&self) -> SecHandle<'_, T> {
         let (reclaim, state) = self.engine.register();
-        let dur_seq = self
-            .engine
-            .op()
-            .durable
-            .as_ref()
-            .map_or(1, |d| d.start_seq(state.tid()));
         SecHandle {
             stack: self,
             state,
             reclaim,
-            dur_seq,
         }
     }
 
@@ -634,10 +597,10 @@ impl<T: Send + 'static> SecStack<T> {
 
 impl SecStack<u64> {
     /// Creates a crash-durable stack over `policy`'s persistent heap:
-    /// every push/pop writes an intent cell before announcing and is
-    /// redo-logged (with its result) by its batch's combiner before
-    /// the result is published (DESIGN.md §16). Durable structures
-    /// carry `u64` payloads.
+    /// every push/pop writes an intent cell and is redo-logged (with
+    /// its result) before the result is published — by its batch's
+    /// combiner, or by the op itself when its shard is idle (DESIGN.md
+    /// §16). Durable structures carry `u64` payloads.
     pub fn durable(max_threads: usize, policy: DurablePolicy) -> Result<Self, DurableError> {
         let core = DurableCore::create(&policy, Family::Stack, 0, max_threads)?;
         Ok(Self::build(SecConfig::new(2, max_threads), Some(core)))
@@ -742,9 +705,6 @@ pub struct SecHandle<'a, T: Send + 'static> {
     /// index) — the engine re-maps it lazily on elastic resizes.
     state: OpState,
     reclaim: ReclaimHandle<'a>,
-    /// Next per-handle durable op sequence number (1-based; resumes
-    /// from the recovered log on durable stacks, unused otherwise).
-    dur_seq: u64,
 }
 
 impl<'a, T: Send + 'static> SecHandle<'a, T> {
@@ -770,7 +730,9 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
     pub fn push(&mut self, value: T) {
         if self.stack.engine.op().durable.is_some() {
             let w = durable::to_word(value);
-            self.durable_op(opcode::PUSH, w);
+            self.stack
+                .engine
+                .run_durable(&self.reclaim, opcode::PUSH, w, 0);
             return;
         }
         // Line 3: one node per push, reused across batch retries —
@@ -788,7 +750,11 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
     /// Algorithm 2. Returns the popped value, or `None` for EMPTY.
     pub fn pop(&mut self) -> Option<T> {
         if self.stack.engine.op().durable.is_some() {
-            return match self.durable_op(opcode::POP, 0) {
+            return match self
+                .stack
+                .engine
+                .run_durable(&self.reclaim, opcode::POP, 0, 0)
+            {
                 OpResult::Empty => None,
                 OpResult::Value(w) => Some(durable::from_word(w)),
                 OpResult::Unit => unreachable!("pop produced a unit result"),
@@ -803,29 +769,6 @@ impl<'a, T: Send + 'static> SecHandle<'a, T> {
             ptr::null_mut(),
             &self.reclaim,
         )
-    }
-
-    /// The durable op path: persist the intent, announce a request on
-    /// this thread's durable shard, read the logged result back out of
-    /// the request after publish.
-    fn durable_op(&mut self, op: u8, operand: u64) -> OpResult {
-        let eng = &self.stack.engine;
-        let d = eng.op().durable.as_ref().expect("durable route");
-        let tid = self.state.tid();
-        let seq = self.dur_seq;
-        d.write_intent(tid, seq, op, operand, 0);
-        let mut req = DurableReq::new(tid, seq, op, operand, 0);
-        let node = (&mut req as *mut DurableReq).cast::<Node<T>>();
-        let shard = d.shard_of(tid);
-        eng.run_weighted(
-            Lane::At(eng.bulk_agg(DUR_BASE + shard)),
-            Role::Remove,
-            node,
-            1,
-            &self.reclaim,
-        );
-        self.dur_seq = seq + 1;
-        req.take_result()
     }
 
     /// Bulk push: pushes every value of `values`, in slice order, as

@@ -11,8 +11,8 @@ use sec_baselines::{
     TreiberStack, TsiStack,
 };
 use sec_core::{
-    AggregatorPolicy, BatchReport, CollectorStats, SecConfig, SecCounter, SecMap, SecQueue,
-    SecStack,
+    AggregatorPolicy, BatchReport, CollectorStats, DurableStats, SecConfig, SecCounter, SecMap,
+    SecQueue, SecStack,
 };
 
 /// One of the evaluated stack algorithms.
@@ -189,6 +189,22 @@ pub struct AlgoRun {
     /// feed the `recycle` CSV columns (DESIGN.md §10). Read after the
     /// workers join, so the per-thread counters have been flushed.
     pub reclaim: Option<CollectorStats>,
+    /// Redo-log counters (durable runs only): records, entries and
+    /// `msync` calls (DESIGN.md §16).
+    pub durable: Option<DurableStats>,
+}
+
+impl AlgoRun {
+    /// A run of a structure without SEC instrumentation.
+    fn plain(result: RunResult) -> Self {
+        Self {
+            result,
+            sec_report: None,
+            sec_active: None,
+            reclaim: None,
+            durable: None,
+        }
+    }
 }
 
 /// Constructs a fresh instance of `algo` sized for the run and measures
@@ -245,6 +261,7 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
             sec_report: Some(stack.stats().report()),
             sec_active: Some(stack.active_aggregators()),
             reclaim: Some(stack.reclaim_stats()),
+            durable: stack.durable_stats(),
         };
         drop(stack);
         if let Some((_, path)) = &durable {
@@ -257,48 +274,13 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
         Algo::SecAdaptive { min_k, max_k } => run_sec(
             SecConfig::new(max_k, cap).aggregator_policy(AggregatorPolicy::adaptive(min_k, max_k)),
         ),
-        Algo::Trb => AlgoRun {
-            result: run_throughput(&TreiberStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Eb => AlgoRun {
-            result: run_throughput(&EbStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Fc => AlgoRun {
-            result: run_throughput(&FcStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Cc => AlgoRun {
-            result: run_throughput(&CcStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Tsi => AlgoRun {
-            result: run_throughput(&TsiStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::TrbHp => AlgoRun {
-            result: run_throughput(&TreiberHpStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::Lck => AlgoRun {
-            result: run_throughput(&LockedStack::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
+        Algo::Trb => AlgoRun::plain(run_throughput(&TreiberStack::<u64>::new(cap), cfg)),
+        Algo::Eb => AlgoRun::plain(run_throughput(&EbStack::<u64>::new(cap), cfg)),
+        Algo::Fc => AlgoRun::plain(run_throughput(&FcStack::<u64>::new(cap), cfg)),
+        Algo::Cc => AlgoRun::plain(run_throughput(&CcStack::<u64>::new(cap), cfg)),
+        Algo::Tsi => AlgoRun::plain(run_throughput(&TsiStack::<u64>::new(cap), cfg)),
+        Algo::TrbHp => AlgoRun::plain(run_throughput(&TreiberHpStack::<u64>::new(cap), cfg)),
+        Algo::Lck => AlgoRun::plain(run_throughput(&LockedStack::<u64>::new(cap), cfg)),
         Algo::SecQueue => {
             let queue: SecQueue<u64> = match &durable {
                 Some((policy, _)) => {
@@ -327,6 +309,7 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
                 sec_report: Some(queue.stats().report()),
                 sec_active: None,
                 reclaim: Some(queue.reclaim_stats()),
+                durable: queue.durable_stats(),
             };
             drop(queue);
             if let Some((_, path)) = &durable {
@@ -334,18 +317,8 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
             }
             run
         }
-        Algo::MsQ => AlgoRun {
-            result: run_queue_throughput(&MsQueue::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
-        Algo::LckQ => AlgoRun {
-            result: run_queue_throughput(&LockedQueue::<u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
+        Algo::MsQ => AlgoRun::plain(run_queue_throughput(&MsQueue::<u64>::new(cap), cfg)),
+        Algo::LckQ => AlgoRun::plain(run_queue_throughput(&LockedQueue::<u64>::new(cap), cfg)),
         Algo::SecCounter => {
             let counter = match &durable {
                 Some((policy, _)) => {
@@ -359,6 +332,7 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
                 sec_report: Some(counter.stats().report()),
                 sec_active: Some(counter.active_aggregators()),
                 reclaim: Some(counter.reclaim_stats()),
+                durable: counter.durable_stats(),
             };
             drop(counter);
             if let Some((_, path)) = &durable {
@@ -379,6 +353,7 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
                 sec_report: Some(map.stats().report()),
                 sec_active: Some(map.active_aggregators()),
                 reclaim: Some(map.reclaim_stats()),
+                durable: map.durable_stats(),
             };
             drop(map);
             if let Some((_, path)) = &durable {
@@ -386,12 +361,10 @@ pub fn run_algo(algo: Algo, cfg: &RunConfig) -> AlgoRun {
             }
             run
         }
-        Algo::LckMap => AlgoRun {
-            result: run_map_throughput(&LockedHashMap::<u64, u64>::new(cap), cfg),
-            sec_report: None,
-            sec_active: None,
-            reclaim: None,
-        },
+        Algo::LckMap => AlgoRun::plain(run_map_throughput(
+            &LockedHashMap::<u64, u64>::new(cap),
+            cfg,
+        )),
     }
 }
 

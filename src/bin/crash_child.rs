@@ -14,10 +14,13 @@
 //! crash_child run <stack|queue|counter|map> <heap-path> <threads> <ops> <seed>
 //! crash_child recover <stack|queue|counter|map> <heap-path>
 //! ```
+//!
+//! A run that completes prints `DONE solo=<n> batches=<n>`: how many
+//! ops took the solo path and how many batches the rest formed.
 
 use sec_repro::durable::DurablePolicy;
 use sec_repro::ext::{SecCounter, SecMap, SecQueue};
-use sec_repro::SecStack;
+use sec_repro::{BatchReport, SecStack};
 
 /// The heap geometry every harness case uses (small: the sweep creates
 /// hundreds of heap files). Must match the parent test's expectations
@@ -40,7 +43,7 @@ fn next(s: &mut u64) -> u64 {
     z ^ (z >> 33)
 }
 
-fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let s = SecStack::<u64>::durable(threads, policy(path)).expect("create durable stack");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -58,9 +61,10 @@ fn run_stack(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    s.stats().report()
 }
 
-fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let q = SecQueue::<u64>::durable(threads, policy(path)).expect("create durable queue");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -78,9 +82,10 @@ fn run_queue(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    q.stats().report()
 }
 
-fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let c = SecCounter::durable(threads, policy(path)).expect("create durable counter");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -94,9 +99,10 @@ fn run_counter(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    c.stats().report()
 }
 
-fn run_map(path: &str, threads: usize, ops: usize, seed: u64) {
+fn run_map(path: &str, threads: usize, ops: usize, seed: u64) -> BatchReport {
     let m = SecMap::<u64, u64>::durable(threads, policy(path)).expect("create durable map");
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -123,6 +129,7 @@ fn run_map(path: &str, threads: usize, ops: usize, seed: u64) {
             });
         }
     });
+    m.stats().report()
 }
 
 fn recover(family: &str, path: &str) {
@@ -157,16 +164,16 @@ fn main() {
             let threads: usize = args[4].parse().expect("threads");
             let ops: usize = args[5].parse().expect("ops");
             let seed: u64 = args[6].parse().expect("seed");
-            match family.as_str() {
+            let report = match family.as_str() {
                 "stack" => run_stack(path, threads, ops, seed),
                 "queue" => run_queue(path, threads, ops, seed),
                 "counter" => run_counter(path, threads, ops, seed),
                 "map" => run_map(path, threads, ops, seed),
                 other => panic!("unknown family {other}"),
-            }
+            };
             // Reaching here means the armed fault point never fired
             // (or none was armed): the workload ran to completion.
-            println!("DONE");
+            println!("DONE solo={} batches={}", report.solo, report.batches);
         }
         Some("recover") => recover(&args[2], &args[3]),
         _ => {

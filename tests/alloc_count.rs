@@ -15,10 +15,18 @@
 //! `RecyclePolicy::Off` asserts the counter itself works (it must see
 //! plenty of allocations).
 //!
+//! Durable stacks (DESIGN.md §16) are held to the same bar on both of
+//! their routes: the solo path (one record per op) and the batched
+//! combiner (forced with `SyncMode::Sync`, which never goes solo and
+//! whose `msync` is a no-op on a Volatile heap). Intents and records
+//! land in the preallocated heap, requests live on the caller's frame,
+//! and pushed nodes come off the recycle cache.
+//!
 //! Kept in its own test binary because the `#[global_allocator]` is
 //! process-wide; the single `#[test]` keeps the measurement windows
 //! serial.
 
+use sec_repro::durable::{DurablePolicy, SyncMode};
 use sec_repro::ext::SecQueue;
 use sec_repro::{RecyclePolicy, SecConfig, SecStack};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -263,6 +271,36 @@ fn steady_state_ops_perform_zero_heap_allocations() {
         assert!(
             tracer.op_latency().count() > 0,
             "sample_shift 0 must sample every op's latency"
+        );
+    }
+
+    // --- Durable stack, solo and batched routes. ---------------------
+    // Warm-up + measurement each log 2 * OPS records of one entry.
+    for sync in [SyncMode::None, SyncMode::Sync] {
+        let policy = DurablePolicy::volatile()
+            .record_capacity(4 * OPS as usize)
+            .sync(sync);
+        let durable = SecStack::durable(1, policy).expect("volatile durable stack");
+        let mut h = durable.register();
+        stack_burst(&mut h);
+        let before = allocs_now();
+        stack_burst(&mut h);
+        let durable_allocs = allocs_now() - before;
+        drop(h);
+        assert_eq!(
+            durable_allocs, 0,
+            "durable ({sync:?}) steady state must not touch the heap \
+             ({durable_allocs} allocations in {OPS} push/pop pairs)"
+        );
+        let r = durable.stats().report();
+        let (solo, batched) = match sync {
+            SyncMode::None => (4 * OPS, 0),
+            SyncMode::Sync => (0, 4 * OPS),
+        };
+        assert_eq!(
+            (r.solo, r.batches),
+            (solo, batched),
+            "a lone thread's durable ops go solo exactly when the policy flushes nothing"
         );
     }
 

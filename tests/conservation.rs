@@ -84,6 +84,10 @@ fn sec_adaptive_conserves_values_under_forced_resizes() {
 
     const THREADS: usize = 6;
     const PER: usize = 1_000;
+    // Solo ops finish a round quickly, possibly before the resizer has
+    // run both ways or any op has reached a batch: keep running rounds
+    // (each one conservation-checked) until all three happened.
+    const MAX_ROUNDS: usize = 200;
     let stack: SecStack<u64> =
         SecStack::with_config(SecConfig::adaptive_windowed(1, 4, 64, THREADS + 1));
     let done = AtomicBool::new(false);
@@ -99,7 +103,13 @@ fn sec_adaptive_conserves_values_under_forced_resizes() {
                 thread::yield_now();
             }
         });
-        conservation(stack, "SEC_Adaptive", THREADS, PER);
+        for _ in 0..MAX_ROUNDS {
+            conservation(stack, "SEC_Adaptive", THREADS, PER);
+            let r = stack.stats().report();
+            if r.grows > 0 && r.shrinks > 0 && r.batches > 0 {
+                break;
+            }
+        }
         done.store(true, Ordering::Release);
     });
 

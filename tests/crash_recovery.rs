@@ -379,6 +379,63 @@ fn kill_9_sweep_map() {
     sweep("map");
 }
 
+/// A lone thread's durable ops all take the solo path (DESIGN.md
+/// §16), which commits without forming a batch. A kill at the
+/// mid-publish point — committed, caller not yet told — must still
+/// recover the in-flight op as `Executed`.
+#[test]
+fn solo_op_killed_before_returning_recovers_as_executed() {
+    const SOLO_OPS: u64 = 40;
+    const KILL_AT: u64 = 25;
+    for family in FAMILIES {
+        let ctx = format!("CRASH_FAMILY={family} SEC_CRASH_POINT=4 SEC_CRASH_AFTER={KILL_AT}");
+        let path = heap_path(&format!("solo_{family}"));
+        let args = [
+            "run",
+            family,
+            path.to_str().unwrap(),
+            "1",
+            &SOLO_OPS.to_string(),
+            "3",
+        ];
+        let _ = std::fs::remove_file(&path);
+        let out = Command::new(env!("CARGO_BIN_EXE_crash_child"))
+            .args(args)
+            .env_remove("SEC_CRASH_POINT")
+            .env_remove("SEC_CRASH_AFTER")
+            .output()
+            .expect("spawn crash_child");
+        assert!(out.status.success(), "{ctx}: unarmed run failed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("DONE solo={SOLO_OPS} batches=0")),
+            "{ctx}: a lone thread's ops must all go solo, got {stdout:?}"
+        );
+        let _ = std::fs::remove_file(&path);
+
+        assert!(
+            spawn_child(&args, Some((4, KILL_AT))),
+            "{ctx}: the mid-publish point never fired"
+        );
+        let report = recover_report(family, &path, &ctx);
+        assert_eq!(report.replayed_ops() as u64, KILL_AT, "{ctx}");
+        assert!(
+            matches!(
+                report.handles[0].pending,
+                PendingOutcome::Executed {
+                    op_seq: KILL_AT,
+                    ..
+                }
+            ),
+            "{ctx}: {:?}",
+            report.handles[0]
+        );
+        check_report(&report, &ctx);
+        check_conservation(family, &path, &report, &ctx);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Satellite 3, second half: SIGKILL *during recovery* (the
 /// recover-scan fault point) must leave the heap exactly as
 /// recoverable — recovery mutates nothing but idempotent
